@@ -89,7 +89,10 @@ _PREFIX_LEN = 1 << 16
 _INDEX_MAGIC = "padsidx"
 _INDEX_VERSION = 1
 _CKPT_MAGIC = b"PADSCKPT1\n"
-_CKPT_VERSION = 1
+#: Bumped whenever a checkpointed object's pickled state changes shape
+#: (2: accumulators carry shape tags and no per-add counters), so an old
+#: checkpoint is rejected as ``version`` instead of unpickled wrongly.
+_CKPT_VERSION = 2
 
 #: Test hook: raise :class:`_InjectedCrash` once this many records (or,
 #: on the parallel path, chunks) have been processed — *after* any

@@ -70,7 +70,7 @@ from .core.errors import DescriptionError, ErrorTally, PadsError, Pstate
 from .core.io import Source, discipline_from_spec, transparent_encode
 from .core.limits import ParseLimits
 from .observe import MetricsRegistry, SIZE_BUCKETS, to_prometheus
-from .tools.accum import Accumulator
+from .tools.accum import DEFAULT_REPORTED, DEFAULT_TRACKED, Accumulator
 from .tools.fmt import format_value
 
 __all__ = ["ServeConfig", "ParseServer", "ServerThread", "run_server",
@@ -107,6 +107,15 @@ class HttpError(Exception):
         self.status = status
         self.code = code
         self.message = message
+
+
+def _count_param(payload: dict, name: str, default: int) -> int:
+    """A non-negative integer request field, or a structured 400."""
+    value = payload.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise HttpError(400, "BAD_PARAM", f"{name!r} must be a non-negative "
+                                          f"integer, got {value!r}")
+    return value
 
 
 class LimitExceeded(HttpError):
@@ -586,8 +595,8 @@ class ParseServer:
 
     def _run_accum(self, desc, data: bytes, type_name: str, payload: dict,
                    limits, registry):
-        tracked = int(payload.get("tracked", 1000))
-        top = int(payload.get("top", 10))
+        tracked = _count_param(payload, "tracked", DEFAULT_TRACKED)
+        top = _count_param(payload, "top", DEFAULT_REPORTED)
         tally = ErrorTally()
         if self._use_parallel(data) and self._parallel_gate.acquire(
                 blocking=False):
@@ -614,7 +623,8 @@ class ParseServer:
     def _run_records(self, desc, data: bytes, type_name: str, payload: dict,
                      limits, registry):
         delims = list(str(payload.get("delims", "|")))
-        max_records = int(payload.get("max_records", DEFAULT_MAX_RECORDS))
+        max_records = _count_param(payload, "max_records",
+                                   DEFAULT_MAX_RECORDS)
         node = desc.node(type_name)
         tally = ErrorTally()
         lines = []

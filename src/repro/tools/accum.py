@@ -22,11 +22,20 @@ The rendered report matches the paper's layout::
 Accumulators mirror the type tree: struct accumulators hold one child per
 field, union accumulators track the tag distribution, array accumulators
 aggregate over all elements and track lengths.
+
+Like the paper's generated ``T_acc_add``, the add path is specialised
+once per tree rather than re-derived per value: building an
+:class:`Accumulator` resolves each node's shape to a small picklable tag
+and binds a plain closure for it, so feeding a record does no type
+dispatch.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import heapq
+import itertools
+from operator import neg
+from typing import Callable, Dict, List, Optional
 
 from ..core.errors import Pd
 from ..core.types import (
@@ -47,6 +56,9 @@ from ..core.values import DateVal
 DEFAULT_TRACKED = 1000
 DEFAULT_REPORTED = 10
 
+#: ``add(rep, pd=None)``: one position's add path.
+Adder = Callable[..., None]
+
 
 def _kind_of(node: PType) -> str:
     while isinstance(node, (RecordNode, TypedefNode, AppNode)):
@@ -61,6 +73,21 @@ def _kind_of(node: PType) -> str:
     return node.kind
 
 
+def _type_label(node: PType) -> str:
+    while isinstance(node, RecordNode):
+        node = node.inner
+    if isinstance(node, BaseNode):
+        label = node.name.split("(")[0]
+        return {"Puint32": "uint32", "Puint8": "uint8", "Puint16": "uint16",
+                "Puint64": "uint64", "Pint32": "int32", "Pint64": "int64",
+                }.get(label, label)
+    return node.name
+
+
+def _rank(item):
+    return -item[1], str(item[0])
+
+
 class ScalarAccum:
     """Tracks one scalar position: good/bad counts, numeric stats, top-K."""
 
@@ -70,34 +97,23 @@ class ScalarAccum:
         self.bad = 0
         self.tracked_limit = tracked
         self.values: Dict[object, int] = {}
-        self.tracked_count = 0  # adds that landed in self.values
         self.min = None
         self.max = None
         self.total = 0.0
         self.err_codes: Dict[str, int] = {}
+        #: Optional :class:`~repro.tools.summaries.NumericSummaries`, fed
+        #: every good numeric value (see ``attach_summaries``).
+        self.summaries = None
 
-    def add(self, value, pd: Optional[Pd]) -> None:
-        if pd is not None and pd.nerr > 0:
-            self.bad += 1
-            name = pd.err_code.name
-            self.err_codes[name] = self.err_codes.get(name, 0) + 1
-            return
-        self.good += 1
-        key = value.epoch if isinstance(value, DateVal) else value
-        if isinstance(key, (int, float)) and not isinstance(key, bool):
-            self.total += key
-            self.min = key if self.min is None else min(self.min, key)
-            self.max = key if self.max is None else max(self.max, key)
-        try:
-            in_table = key in self.values
-        except TypeError:
-            return  # unhashable; skip distribution tracking
-        if in_table:
-            self.values[key] += 1
-            self.tracked_count += 1
-        elif len(self.values) < self.tracked_limit:
-            self.values[key] = 1
-            self.tracked_count += 1
+    def add(self, value, pd: Optional[Pd] = None) -> None:
+        """Feed one value.  Accumulator trees bind the adder once instead
+        of going through this per call."""
+        _scalar_adder(self)(value, pd)
+
+    @property
+    def tracked_count(self) -> int:
+        """Adds that landed in the value table."""
+        return sum(self.values.values())
 
     def merge(self, other: "ScalarAccum") -> "ScalarAccum":
         """Combine another scalar accumulator into this one.
@@ -114,6 +130,9 @@ class ScalarAccum:
         seeing a key the serial run would have admitted; every reported
         count is then a lower bound on the true count (the documented
         tolerance).
+
+        The tables are updated in place: adders built over this
+        accumulator keep feeding it.
         """
         self.good += other.good
         self.bad += other.bad
@@ -130,22 +149,9 @@ class ScalarAccum:
             elif len(self.values) < self.tracked_limit:
                 # dict order is first-seen order, matching serial admission
                 self.values[key] = count
-        # Invariant maintained by ``add``: tracked_count is the number of
-        # adds represented in the table.
-        self.tracked_count = sum(self.values.values())
-        mine = getattr(self, "summaries", None)
-        theirs = getattr(other, "summaries", None)
-        if mine is not None and theirs is not None:
-            mine.merge(theirs)
+        if self.summaries is not None and other.summaries is not None:
+            self.summaries.merge(other.summaries)
         return self
-
-    def __getstate__(self):
-        # ``attach_summaries`` rebinds ``add`` to a closure on the
-        # instance; drop it so accumulators can cross process boundaries
-        # (the unpickled copy is only merged/reported, never fed).
-        state = dict(self.__dict__)
-        state.pop("add", None)
-        return state
 
     @property
     def total_count(self) -> int:
@@ -156,7 +162,20 @@ class ScalarAccum:
         return 100.0 * self.bad / n if n else 0.0
 
     def top(self, k: int = DEFAULT_REPORTED) -> List:
-        return sorted(self.values.items(), key=lambda kv: (-kv[1], str(kv[0])))[:k]
+        """The ``k`` most frequent values as ``(value, count)`` pairs, by
+        count descending, then ``str(value)``, then first-seen order —
+        always exactly ``sorted(...)[:k]`` of the whole table.  A proper
+        prefix is picked with a heap over tuples built in C; the third
+        element (the first-seen index) is unique, so values themselves
+        are never compared."""
+        values = self.values
+        if 0 < k < len(values):
+            picked = heapq.nsmallest(k, zip(map(neg, values.values()),
+                                            map(str, values),
+                                            itertools.count()))
+            items = list(values.items())
+            return [items[i] for _, _, i in picked]
+        return sorted(values.items(), key=_rank)[:k]
 
     def report(self, path: str, type_name: str,
                reported: int = DEFAULT_REPORTED) -> str:
@@ -197,24 +216,171 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# -- specialised adders ---------------------------------------------------------
+#
+# A compound position whose descriptor is clean (``nerr == 0``) has a clean
+# subtree — parsers fold every child's errors into the parent — so the
+# adders below pass ``None`` down instead of reading (and, through the
+# ``Pd.fields``/``Pd.elts`` properties, allocating) child descriptors.
+
+
+def _scalar_adder(acc: ScalarAccum) -> Adder:
+    """``acc``'s add path with its tables, tracking limit and summaries
+    hook bound once."""
+    values = acc.values
+    err_codes = acc.err_codes
+    limit = acc.tracked_limit
+    note = acc.summaries.add if acc.summaries is not None else None
+
+    def add(value, pd=None):
+        if pd is not None and pd.nerr > 0:
+            acc.bad += 1
+            name = pd.err_code.name
+            err_codes[name] = err_codes.get(name, 0) + 1
+            return
+        acc.good += 1
+        cls = value.__class__
+        if cls is int or cls is float:
+            numeric = True
+        elif cls is str or value is None:
+            numeric = False
+        else:
+            if isinstance(value, DateVal):
+                value = value.epoch
+            numeric = (isinstance(value, (int, float))
+                       and not isinstance(value, bool))
+        if numeric:
+            acc.total += value
+            low = acc.min
+            if low is None:
+                acc.min = acc.max = value
+            elif value < low:
+                acc.min = value
+            elif value > acc.max:
+                acc.max = value
+            if note is not None:
+                note(value)
+        try:
+            seen = values.get(value)
+        except TypeError:
+            return  # unhashable; skip distribution tracking
+        if seen is not None:
+            values[value] = seen + 1
+        elif len(values) < limit:
+            values[value] = 1
+
+    return add
+
+
+def _struct_adder(acc: "Accumulator") -> Adder:
+    own = _scalar_adder(acc.self_acc)
+    fields = tuple((name, child.add) for name, child in acc.children.items())
+
+    def add(rep, pd=None):
+        own(None, pd)
+        pds = (pd._fields or {}) if pd is not None and pd.nerr else None
+        for name, child in fields:
+            try:
+                value = getattr(rep, name)
+            except AttributeError:
+                continue
+            child(value, pds.get(name) if pds is not None else None)
+
+    return add
+
+
+def _union_adder(acc: "Accumulator") -> Adder:
+    own = _scalar_adder(acc.self_acc)
+    branches = {name: child.add for name, child in acc.children.items()}
+
+    def add(rep, pd=None):
+        tag = getattr(rep, "tag", None)
+        own(tag, pd)
+        child = branches.get(tag)
+        if child is not None:
+            child(rep.value, pd.branch if pd is not None and pd.nerr else None)
+
+    return add
+
+
+def _opt_adder(acc: "Accumulator") -> Adder:
+    own = _scalar_adder(acc.self_acc)
+    some = acc.children["some"].add
+
+    def add(rep, pd=None):
+        if pd is not None and pd.nerr > 0:
+            own(None, pd)
+        elif rep is None:
+            own("NONE", None)
+        else:
+            own("SOME", None)
+            some(rep, None)
+
+    return add
+
+
+def _array_adder(acc: "Accumulator") -> Adder:
+    own = _scalar_adder(acc.self_acc)
+    length = _scalar_adder(acc.lengths)
+    elt = acc.elts.add
+
+    def add(rep, pd=None):
+        own(None, pd)
+        if rep is None:
+            return
+        length(len(rep), None)
+        if pd is not None and pd.nerr:
+            elt_pds = pd._elts or ()
+            n = len(elt_pds)
+            for i, value in enumerate(rep):
+                elt(value, elt_pds[i] if i < n else None)
+        else:
+            for value in rep:
+                elt(value, None)
+
+    return add
+
+
+_ADDERS = {
+    "struct": _struct_adder,
+    "union": _union_adder,
+    "opt": _opt_adder,
+    "array": _array_adder,
+    "scalar": lambda acc: _scalar_adder(acc.self_acc),
+}
+
+
 class Accumulator:
     """A type-shaped accumulator tree (``<type>_acc`` in the paper's
-    Figure 6: ``acc_init`` / ``acc_add`` / ``acc_report``)."""
+    Figure 6: ``acc_init`` / ``acc_add`` / ``acc_report``).
+
+    ``add(rep, pd=None)`` is an instance attribute: the closure that
+    construction specialised for this node's ``shape`` (``"struct"``,
+    ``"union"``, ``"opt"``, ``"array"`` or ``"scalar"``) over its
+    children's adders.  Changing the tree's configuration (as
+    ``attach_summaries`` does) calls :meth:`rebuild_adders`.  Pickling
+    drops the type node and the closures; unpickling rebuilds the
+    closures from the shape tags, so a transferred accumulator can be
+    fed, merged and reported.
+    """
 
     def __init__(self, node: PType, name: str = "<top>",
                  tracked: int = DEFAULT_TRACKED):
         self.node = node
         self.name = name
         self.tracked = tracked
+        self.label = _type_label(node)
         self.self_acc = ScalarAccum(_kind_of(node), tracked)
         self.children: Dict[str, Accumulator] = {}
         self.elts: Optional[Accumulator] = None
         self.lengths: Optional[ScalarAccum] = None
-        self._build()
+        self.shape = self._build()
+        self._link()
 
-    def _build(self) -> None:
+    def _build(self) -> str:
+        """Create the child accumulators; return this node's shape tag."""
         node = self.node
-        while isinstance(node, (RecordNode,)):
+        while isinstance(node, RecordNode):
             node = node.inner
         if isinstance(node, AppNode):
             node = node.decl_node
@@ -223,65 +389,40 @@ class Accumulator:
             # they are not profiled.
             for f in node.fields:
                 if f.kind == "data":
-                    self.children[f.name] = Accumulator(
-                        f.node, f"{self.name}.{f.name}", self.tracked)
-        elif isinstance(node, UnionNode):
+                    self._child(f.name, f.node)
+            return "struct"
+        if isinstance(node, UnionNode):
             for br in node.branches:
-                self.children[br.name] = Accumulator(
-                    br.node, f"{self.name}.{br.name}", self.tracked)
-        elif isinstance(node, SwitchUnionNode):
+                self._child(br.name, br.node)
+            return "union"
+        if isinstance(node, SwitchUnionNode):
             for case in node.cases:
-                self.children[case.name] = Accumulator(
-                    case.node, f"{self.name}.{case.name}", self.tracked)
-        elif isinstance(node, OptNode):
-            self.children["some"] = Accumulator(
-                node.inner, f"{self.name}.some", self.tracked)
-        elif isinstance(node, ArrayNode):
+                self._child(case.name, case.node)
+            return "union"
+        if isinstance(node, OptNode):
+            self._child("some", node.inner)
+            return "opt"
+        if isinstance(node, ArrayNode):
             self.elts = Accumulator(node.elt, f"{self.name}[]", self.tracked)
             self.lengths = ScalarAccum("int", self.tracked)
-        elif isinstance(node, TypedefNode):
-            pass  # scalar behaviour is enough
+            return "array"
+        return "scalar"
 
-    # -- adding -----------------------------------------------------------------
+    def _child(self, name: str, node: PType) -> None:
+        self.children[name] = Accumulator(node, f"{self.name}.{name}",
+                                          self.tracked)
 
-    def add(self, rep, pd: Optional[Pd] = None) -> None:
-        node = self.node
-        while isinstance(node, RecordNode):
-            node = node.inner
-        if isinstance(node, AppNode):
-            node = node.decl_node
+    def _link(self) -> None:
+        self.add = _ADDERS[self.shape](self)
 
-        if isinstance(node, StructNode):
-            self.self_acc.add(None, pd)
-            for name, child in self.children.items():
-                try:
-                    value = getattr(rep, name)
-                except AttributeError:
-                    continue
-                child.add(value, pd.fields.get(name) if pd else None)
-        elif isinstance(node, (UnionNode, SwitchUnionNode)):
-            self.self_acc.add(getattr(rep, "tag", None), pd)
-            tag = getattr(rep, "tag", None)
-            if tag in self.children:
-                self.children[tag].add(rep.value, pd.branch if pd else None)
-        elif isinstance(node, OptNode):
-            if pd is not None and pd.nerr > 0:
-                self.self_acc.add(None, pd)
-            elif rep is None:
-                self.self_acc.add("NONE", None)
-            else:
-                self.self_acc.add("SOME", None)
-                self.children["some"].add(rep, pd.branch if pd else None)
-        elif isinstance(node, ArrayNode):
-            self.self_acc.add(None, pd)
-            if rep is not None:
-                self.lengths.add(len(rep), None)
-                elt_pds = pd.elts if pd else []
-                for i, value in enumerate(rep):
-                    elt_pd = elt_pds[i] if i < len(elt_pds) else None
-                    self.elts.add(value, elt_pd)
-        else:
-            self.self_acc.add(rep, pd)
+    def rebuild_adders(self) -> None:
+        """Re-specialise every adder in this tree (after configuration
+        changes such as attached summaries)."""
+        if self.elts is not None:
+            self.elts.rebuild_adders()
+        for child in self.children.values():
+            child.rebuild_adders()
+        self._link()
 
     # -- merging ----------------------------------------------------------------
 
@@ -305,12 +446,17 @@ class Accumulator:
         return self
 
     def __getstate__(self):
-        # Type nodes may close over interpreter environments and are not
-        # picklable; a transferred accumulator only needs its counters
-        # (the receiving side merges it into a tree that kept its nodes).
+        # Type nodes may close over interpreter environments and closures
+        # do not pickle; the shape tags are enough to rebuild the adders.
         state = dict(self.__dict__)
         state["node"] = None
+        del state["add"]
         return state
+
+    def __setstate__(self, state) -> None:
+        # Unpickling finishes the children first, so their adders exist.
+        self.__dict__.update(state)
+        self._link()
 
     # -- reporting ----------------------------------------------------------------
 
@@ -329,19 +475,8 @@ class Accumulator:
                 acc = acc.elts
         return acc
 
-    def type_label(self) -> str:
-        node = self.node
-        while isinstance(node, RecordNode):
-            node = node.inner
-        if isinstance(node, BaseNode):
-            label = node.name.split("(")[0]
-            return {"Puint32": "uint32", "Puint8": "uint8", "Puint16": "uint16",
-                    "Puint64": "uint64", "Pint32": "int32", "Pint64": "int64",
-                    }.get(label, label)
-        return node.name
-
     def report(self, reported: int = DEFAULT_REPORTED) -> str:
-        return self.self_acc.report(self.name, self.type_label(), reported)
+        return self.self_acc.report(self.name, self.label, reported)
 
     def full_report(self, reported: int = DEFAULT_REPORTED) -> str:
         """Reports for this node and every nested position, paper-style."""

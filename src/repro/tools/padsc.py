@@ -912,6 +912,10 @@ def _validate_flags(args) -> None:
     if window is not None and window < 1:
         raise PadsError(f"--window {window} makes no sense; use a positive "
                         "byte count")
+    for flag in ("track", "top"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise PadsError(f"--{flag} {value} makes no sense; use N >= 0")
 
 
 def _run(args) -> int:

@@ -261,8 +261,9 @@ class NumericSummaries:
 
 def attach_summaries(accumulator, bins: int = 32, eps: float = 0.01) -> None:
     """Attach :class:`NumericSummaries` to every numeric scalar position
-    of an accumulator tree; subsequent ``add`` calls feed them."""
-    from .accum import Accumulator, ScalarAccum
+    of an accumulator tree and re-specialise its adders, so subsequent
+    ``add`` calls feed them."""
+    from .accum import Accumulator
 
     def visit(acc: Accumulator) -> None:
         scalar = acc.self_acc
@@ -276,21 +277,9 @@ def attach_summaries(accumulator, bins: int = 32, eps: float = 0.01) -> None:
             visit(child)
 
     visit(accumulator)
+    accumulator.rebuild_adders()
 
 
 def _instrument(scalar, bins: int, eps: float) -> None:
-    from ..core.values import DateVal
-
-    if getattr(scalar, "summaries", None) is not None:
-        return
-    scalar.summaries = NumericSummaries(bins, eps)
-    original_add = scalar.add
-
-    def add_with_summaries(value, pd=None):
-        original_add(value, pd)
-        if pd is None or pd.nerr == 0:
-            key = value.epoch if isinstance(value, DateVal) else value
-            if isinstance(key, (int, float)) and not isinstance(key, bool):
-                scalar.summaries.add(key)
-
-    scalar.add = add_with_summaries
+    if scalar.summaries is None:
+        scalar.summaries = NumericSummaries(bins, eps)

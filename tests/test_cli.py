@@ -366,6 +366,20 @@ class TestFlagConflictMatrix:
         diag = [ln for ln in captured.err.splitlines() if ln.strip()]
         assert len(diag) == 1 and diag[0].startswith("padsc: ")
 
+    @pytest.mark.parametrize("extra,needle", [
+        (["--top", "-2"], "--top -2"),
+        (["--track", "-1"], "--track -1"),
+    ], ids=["top", "track"])
+    def test_negative_accum_counts_exit_2(self, clf_file, clf_data, capsys,
+                                          extra, needle):
+        rc = main(["accum", clf_file, clf_data, "--record", "entry_t"]
+                  + extra)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        diag = [ln for ln in captured.err.splitlines() if ln.strip()]
+        assert len(diag) == 1 and diag[0].startswith("padsc: ")
+        assert needle in diag[0]
+
     def test_checkpoint_on_stdin_is_an_error(self, clf_file, capsys,
                                              monkeypatch):
         import io

@@ -315,6 +315,16 @@ class TestCorruptCheckpoint:
                                           build_index=False)
         self._assert_full_rerun(desc, path, rtype, ref2)
 
+    def test_older_version(self, tmp_path):
+        """A checkpoint written under an earlier ``_CKPT_VERSION`` (an
+        older pickled accumulator layout) is rejected, not unpickled
+        into today's classes."""
+        desc, path, rtype, ref, ckpt = self._interrupted(tmp_path)
+        payload = durable._load_checkpoint(ckpt)
+        payload["version"] = durable._CKPT_VERSION - 1
+        durable._write_checkpoint(ckpt, payload)
+        self._assert_full_rerun(desc, path, rtype, ref)
+
     def test_wrong_mode(self, tmp_path):
         desc, path, rtype, ref, ckpt = self._interrupted(tmp_path)
         with observe.observed() as obs:

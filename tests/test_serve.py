@@ -144,6 +144,31 @@ class TestService:
                 assert status == want_status, (doc, body)
                 assert body["error"] == want_error, (doc, body)
 
+    def test_count_params_are_validated(self):
+        """``tracked``/``top``/``max_records`` must be non-negative
+        integers: anything else is a structured 400, not a 500 from the
+        catch-all (and not a silently empty "top 0 values" table)."""
+        base = {"source": CLF, "data": CLF_SAMPLE, "type": "entry_t"}
+        with ServerThread() as st:
+            for field, value in (("tracked", "abc"), ("top", "x"),
+                                 ("top", -2), ("tracked", -1),
+                                 ("top", 2.5), ("tracked", True),
+                                 ("top", None)):
+                status, body = post(st.port, "/v1/parse",
+                                    dict(base, mode="accum",
+                                         **{field: value}))
+                assert (status, body["error"]) == (400, "BAD_PARAM"), \
+                    (field, value, body)
+                assert field in body["message"]
+            status, body = post(st.port, "/v1/parse",
+                                dict(base, mode="records", max_records="x"))
+            assert (status, body["error"]) == (400, "BAD_PARAM")
+            assert st.metrics.value("serve.errors.internal") == 0
+            status, body = post(st.port, "/v1/parse",
+                                dict(base, mode="accum", top=0, tracked=0))
+            assert status == 200 and body["count"] == 2
+            assert "top 0 values" not in body["report"]
+
     def test_bad_json_and_oversized_body(self):
         with ServerThread(max_body=64) as st:
             status, body = _request(st.port, "POST", "/v1/parse",
