@@ -15,7 +15,7 @@ Four numbers, measured on a >= 100 MB synthetic CLF log:
   sampled offsets) versus ``plan_chunks`` (seek + boundary scan per
   probe point).
 * **Checkpoint overhead** — seconds spent inside ``_write_checkpoint``
-  (pickle + fsync + rename) during a checkpointed ``accumulate_durable``
+  (pickle + fsync + rename) during a checkpointed accum run
   over a record-aligned ~8 MB slice, as a fraction of the parse they
   rode on.  The gate holds this under 5%.  A plain-vs-checkpointed A/B
   wall-clock delta and a crash+resume run are also reported, but not
@@ -30,6 +30,7 @@ Run: ``python benchmarks/bench_durable.py [output.json]``
 
 import json
 import os
+import pathlib
 import random
 import sys
 import tempfile
@@ -37,7 +38,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro import durable, gallery  # noqa: E402
+from repro import Run, durable, execute, gallery  # noqa: E402
 from repro.codegen import compile_generated  # noqa: E402
 from repro.core.io import MIN_CHUNK_BYTES, plan_chunks  # noqa: E402
 from repro.tools.datagen import clf_workload  # noqa: E402
@@ -149,9 +150,13 @@ def main() -> int:
         # -- checkpoint overhead + crash/resume on the ~8 MB slice ------
         slice_size = record_slice(log, slice_log, SLICE_BYTES)
 
-        def accum(**kw):
-            return durable.accumulate_durable(gen, slice_log, "entry_t",
-                                              build_index=False, **kw)
+        def accum(checkpoint=True, resume=False):
+            # engine="cursor": the plain run is the same serial loop the
+            # checkpointed one rides on.
+            r = execute(gen, Run("accum", pathlib.Path(slice_log), "entry_t",
+                                 engine="cursor", checkpoint=checkpoint,
+                                 resume=resume))
+            return r.acc, r.tally
 
         # The gated number is the *instrumented* cost: seconds spent
         # inside _write_checkpoint during the run, over the parse it

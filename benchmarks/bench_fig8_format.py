@@ -18,7 +18,8 @@ N = 10000
 
 
 def test_figure8_output_is_exact(clf_interp, capsys):
-    lines = list(format_records(clf_interp, gallery.CLF_SAMPLE, "entry_t",
+    pairs = clf_interp.records(gallery.CLF_SAMPLE, "entry_t")
+    lines = list(format_records(clf_interp, pairs, "entry_t",
                                 delims=["|"], date_format="%D:%T"))
     output = "\n".join(lines) + "\n"
     assert output == gallery.CLF_FORMATTED
@@ -33,8 +34,9 @@ def test_formatting_throughput(benchmark, clf_gen):
 
     def run():
         count = 0
-        for _ in format_records(clf_gen, data, "entry_t",
-                                delims=["|"], date_format="%D:%T"):
+        for _ in format_records(clf_gen, clf_gen.records(data, "entry_t"),
+                                "entry_t", delims=["|"],
+                                date_format="%D:%T"):
             count += 1
         return count
 

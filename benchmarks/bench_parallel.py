@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from repro import parallel
+from repro import Run, execute
 from repro.tools.accum import accumulate_records
 
 from .conftest import N_RECORDS
@@ -31,24 +31,31 @@ JOBS = 4
 CORES = os.cpu_count() or 1
 
 
+def _run(description, op, data, rtype=None, jobs=1):
+    return execute(description, Run(op, data, rtype, jobs=jobs))
+
+
+def _tally(description, data, jobs=1):
+    """Vetting: every record's pd folded into one error tally."""
+    return _run(description, "accum", data, "entry_t", jobs).tally
+
+
 def _warm_pool(description, data):
     """First parallel call pays pool + fork startup; do it off the clock."""
-    parallel.parallel_count(description, data, jobs=JOBS)
+    _run(description, "count", data, jobs=JOBS)
 
 
 @pytest.mark.benchmark(group="parallel-vetting")
 def test_vet_serial(benchmark, sirius_gen, sirius_body):
-    tally = benchmark(parallel.tally_records, sirius_gen, sirius_body,
-                      "entry_t")
+    tally = benchmark(_tally, sirius_gen, sirius_body)
     assert tally.records == N_RECORDS
 
 
 @pytest.mark.benchmark(group="parallel-vetting")
 def test_vet_parallel(benchmark, sirius_gen, sirius_body):
     _warm_pool(sirius_gen, sirius_body)
-    serial = parallel.tally_records(sirius_gen, sirius_body, "entry_t")
-    tally = benchmark(parallel.parallel_tally, sirius_gen, sirius_body,
-                      "entry_t", jobs=JOBS)
+    serial = _tally(sirius_gen, sirius_body)
+    tally = benchmark(_tally, sirius_gen, sirius_body, jobs=JOBS)
     assert tally.records == serial.records
     assert tally.bad_records == serial.bad_records
     assert tally.total_errors == serial.total_errors
@@ -63,7 +70,7 @@ def test_count_serial(benchmark, sirius_gen, sirius_body):
 @pytest.mark.benchmark(group="parallel-count")
 def test_count_parallel(benchmark, sirius_gen, sirius_body):
     _warm_pool(sirius_gen, sirius_body)
-    n = benchmark(parallel.parallel_count, sirius_gen, sirius_body, jobs=JOBS)
+    n = benchmark(_run, sirius_gen, "count", sirius_body, jobs=JOBS).count
     assert n == N_RECORDS
 
 
@@ -79,8 +86,8 @@ def test_accum_parallel(benchmark, sirius_gen, sirius_body):
     _warm_pool(sirius_gen, sirius_body)
     serial_acc, _hdr, _n = accumulate_records(sirius_gen, sirius_body,
                                               "entry_t")
-    acc, header, tally = benchmark(parallel.parallel_accumulate, sirius_gen,
-                                   sirius_body, "entry_t", jobs=JOBS)
+    r = benchmark(_run, sirius_gen, "accum", sirius_body, "entry_t", JOBS)
+    acc, header, tally = r.acc, r.header_acc, r.tally
     assert header is None
     assert tally.records == N_RECORDS
     assert (acc.self_acc.good, acc.self_acc.bad) == \
@@ -107,11 +114,11 @@ def test_parallel_speedup():
     _warm_pool(desc, body)
 
     t0 = time.perf_counter()
-    serial = parallel.tally_records(desc, body, "entry_t")
+    serial = _tally(desc, body)
     t_serial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    par = parallel.parallel_tally(desc, body, "entry_t", jobs=JOBS)
+    par = _tally(desc, body, jobs=JOBS)
     t_parallel = time.perf_counter() - t0
 
     assert par.records == serial.records == n

@@ -27,7 +27,7 @@ import random
 
 import pytest
 
-from repro import gallery, parallel
+from repro import ErrorTally, gallery
 from repro.codegen import compile_generated
 from repro.core.api import compile_description
 from repro.core.io import FixedWidthRecords
@@ -47,7 +47,11 @@ def sirius_gen_ref():
 
 
 def _vet(description, body):
-    return parallel.tally_records(description, body, "entry_t")
+    """Vetting: every record's pd folded into one error tally."""
+    tally = ErrorTally()
+    for _rep, pd in description.records(body, "entry_t"):
+        tally.add(pd)
+    return tally
 
 
 @pytest.mark.benchmark(group="plan-interp-vetting")

@@ -31,7 +31,9 @@ def test_print_eventseq_schema(sirius_interp, capsys):
 
 def test_buggy_data_embeds_pd(sirius_interp):
     data = sirius_workload(500, random.Random(11)).split(b"\n", 1)[1]
-    doc = "\n".join(xml_records(sirius_interp, data, "entry_t"))
+    doc = "\n".join(xml_records(sirius_interp,
+                                sirius_interp.records(data, "entry_t"),
+                                "entry_t"))
     root = ET.fromstring(doc)
     assert len(root.findall("entry_t")) == 500
     pds = root.findall(".//pd")
@@ -45,6 +47,7 @@ def test_xml_conversion_throughput(benchmark, sirius_gen):
 
     def run():
         return sum(len(chunk) for chunk in
-                   xml_records(sirius_gen, data, "entry_t"))
+                   xml_records(sirius_gen, sirius_gen.records(data, "entry_t"),
+                               "entry_t"))
 
     assert benchmark(run) > 0

@@ -5,7 +5,7 @@ The point of ``repro.stream`` is that input size and resident memory are
 decoupled: a log many times larger than the sliding window parses in
 O(window) bytes.  This bench writes a >= 100 MB synthetic CLF log to
 disk **in chunks** (so the generator never inflates this process's RSS
-high-water mark), then drives it through ``records_stream`` with a 1 MiB
+high-water mark), then drives it through a streamed ``execute`` run with a 1 MiB
 window and measures:
 
 * MB/s for the full record parse and for the record-counting floor;
@@ -22,6 +22,7 @@ Run: ``python benchmarks/bench_stream.py [output.json]``
 
 import json
 import os
+import pathlib
 import random
 import resource
 import sys
@@ -30,7 +31,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro import gallery, observe  # noqa: E402
+from repro import Run, execute, gallery, observe  # noqa: E402
 from repro.codegen import compile_generated  # noqa: E402
 from repro.tools.datagen import clf_workload  # noqa: E402
 
@@ -68,14 +69,16 @@ def main() -> int:
         rss_before = _maxrss_kb()
         t0 = time.perf_counter()
         with observe.observed() as obs:
-            records = sum(1 for _ in gen.records_stream(log, "entry_t",
-                                                        window=WINDOW))
+            records = sum(1 for _ in execute(gen, Run(
+                "records", pathlib.Path(log), "entry_t",
+                window=WINDOW)).records)
         parse_s = time.perf_counter() - t0
         rss_after = _maxrss_kb()
         stream = obs.stats(deterministic=True)["stream"]
 
         t0 = time.perf_counter()
-        counted = gen.count_records_stream(log, window=WINDOW)
+        counted = execute(gen, Run("count", pathlib.Path(log),
+                                   window=WINDOW)).count
         count_s = time.perf_counter() - t0
 
         from conftest import machine_line

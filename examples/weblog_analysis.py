@@ -54,7 +54,8 @@ def main() -> None:
         print(f"    {meth}: {n}")
 
     print("\n== Figure 8: formatted records ==")
-    for line in format_records(clf, gallery.CLF_SAMPLE, "entry_t",
+    for line in format_records(clf, clf.records(gallery.CLF_SAMPLE,
+                                                "entry_t"), "entry_t",
                                delims=["|"], date_format="%D:%T"):
         print("   ", line)
 

@@ -15,6 +15,9 @@ Quickstart::
     for rep, pd in clf.records(data, "entry_t"):
         if pd.nerr == 0:
             print(rep.client.value)
+
+    # accumulate, count, stream, batch, fan out or checkpoint: one call
+    result = repro.execute(clf, repro.Run("accum", data, "entry_t"))
 """
 
 from .core import (
@@ -50,6 +53,7 @@ from .core import (
 
 from . import gallery  # noqa: E402  (the paper's descriptions, ready to use)
 from . import parallel  # noqa: E402  (chunked map-reduce over records)
+from .run import Run, RunResult, execute  # noqa: E402  (one execution path)
 
 __version__ = "1.0.0"
 
@@ -60,5 +64,5 @@ __all__ = [
     "P_SemCheck", "P_Set", "P_SynCheck", "PadsError", "Pd", "Pstate",
     "Rec", "Source", "UnionVal", "DateVal", "EnumVal",
     "compile_description", "compile_file", "mask_init", "parallel",
-    "__version__",
+    "Run", "RunResult", "execute", "__version__",
 ]

@@ -27,13 +27,13 @@ descriptors, accumulators and deterministic metrics (modulo the
 ``batch.*`` counters) are therefore byte-identical to the serial
 reference; the batch engine is an optimisation, never a semantic fork.
 
-Entry points (also exposed as ``records_batch`` / ``accumulate_batch``
-/ ``count_records_batch`` methods on both compiled-description
-engines)::
+The engine is one layer of :func:`repro.run.execute`, which picks it
+whenever the chooser proves a run eligible (``engine="auto"``) or is
+told to (``engine="batch"``)::
 
-    from repro import gallery
+    from repro import Run, execute, gallery
     cd = gallery.load_call_detail()
-    for rep, pd in cd.records_batch(DATA, "call_t"):
+    for rep, pd in execute(cd, Run("records", DATA, "call_t")).records:
         ...
 
 Eligibility rules, the engine-selection matrix and the fallback
@@ -42,21 +42,19 @@ semantics are documented in ``docs/BATCH.md``.
 
 from __future__ import annotations
 
-import os
 from itertools import chain, repeat
 from time import perf_counter
 from typing import Iterable, Iterator, Optional, Tuple
 
 from . import observe
-from .core.errors import ErrCode, ErrorTally, PadsError, Pd
+from .core.errors import ErrCode, Pd
 from .core.io import FixedWidthRecords, NewlineRecords, Source
 from .core.masks import Mask, P_CheckAndSet
 from .plan.ir import Verdict
-from .tools.accum import DEFAULT_TRACKED, Accumulator
 
 __all__ = [
-    "BATCH_BYTES", "MAX_BATCH_RECORDS", "batch_verdict",
-    "records_batch", "accumulate_batch", "count_records_batch",
+    "BATCH_BYTES", "MAX_BATCH_RECORDS", "batch_verdict", "count_gate",
+    "feed_spans", "grid_records", "count_spans",
 ]
 
 #: Feeder span size: how much record-aligned input one grid pass covers.
@@ -132,24 +130,29 @@ def _runtime_gate(description, mask: Optional[Mask]) -> Optional[str]:
     return None
 
 
+def count_gate(description) -> Optional[str]:
+    """Why records cannot be counted by discipline arithmetic (a
+    constant pitch and no per-cursor budgets), or None."""
+    disc = description.discipline
+    if not isinstance(disc, (FixedWidthRecords, NewlineRecords)):
+        return f"{type(disc).__name__} records have no constant pitch"
+    if getattr(description, "limits", None) is not None:
+        return "parse limits attached (budgets are accounted per-cursor)"
+    return None
+
+
 # -- input feeding -------------------------------------------------------------
 
 
-def _feed(data, discipline, chunk_bytes: int):
-    """Record-aligned ``(bytes, absolute offset)`` spans for ``data``,
-    or None when the input cannot be fed to the grid driver (an already
-    open Source keeps the cursor path)."""
-    if isinstance(data, (bytes, bytearray)):
+def feed_spans(data, discipline, chunk_bytes: int):
+    """Record-aligned ``(bytes, absolute offset)`` spans for in-memory
+    data, a path, or a readable stream."""
+    if isinstance(data, (bytes, bytearray, memoryview)):
         return iter([(bytes(data), 0)])
     if isinstance(data, str):
         return iter([(data.encode("latin-1"), 0)])
-    if isinstance(data, Source):
-        return None
     from .parallel import _binary_stream, _stream_chunks
-    try:
-        stream, owns = _binary_stream(data)
-    except PadsError:
-        return None
+    stream, owns = _binary_stream(data)
 
     def spans():
         try:
@@ -159,12 +162,6 @@ def _feed(data, discipline, chunk_bytes: int):
                 stream.close()
 
     return spans()
-
-
-def _serial_input(description, data):
-    if isinstance(data, os.PathLike):
-        return description.open_file(os.fspath(data))
-    return data
 
 
 # -- the grid driver -----------------------------------------------------------
@@ -346,77 +343,32 @@ def window_records(description, window, type_name: str, mask=None, *,
     feed = _window_feed(window, description.discipline, chunk_bytes)
     if feed is None:
         return None
-    width, kernel = _kernel_for(description, type_name)
-    stride, term = _geometry(description.discipline, width)
-    return chain.from_iterable(
-        _drive(description, feed, type_name, mask, width, stride, term,
-               kernel))
+    return grid_records(description, feed, type_name, mask)
 
 
 def window_count(description, window) -> Optional[int]:
     """Batch twin of one worker's record count: pure discipline
     arithmetic over the window, or None to keep the cursor path."""
     disc = description.discipline
-    if getattr(description, "limits", None) is not None:
+    if count_gate(description) is not None:
         return None
-    if isinstance(disc, FixedWidthRecords):
-        width = disc.width
-        if window[0] == "bytes":
-            return -(-len(window[1]) // width)
-        if window[0] == "file":
-            _tag, _path, start, end = window
-            return -(-(end - start) // width)
+    if isinstance(disc, FixedWidthRecords) and window[0] == "file":
+        _tag, _path, start, end = window
+        return -(-(end - start) // disc.width)  # the size alone decides
+    feed = _window_feed(window, disc, BATCH_BYTES)
+    if feed is None:
         return None
-    if not isinstance(disc, NewlineRecords):
-        return None
-    if window[0] == "bytes":
-        buf = window[1]
-    elif window[0] == "file":
-        _tag, path, start, end = window
-        with open(path, "rb") as handle:
-            handle.seek(start)
-            buf = handle.read(end - start)
-    else:
-        return None
-    if not buf:
-        return 0
-    total = buf.count(b"\n")
-    if buf[-1] != 0x0A:
-        total += 1  # unterminated final record
-    return total
+    return count_spans(feed, disc)
 
 
-# -- public entry points -------------------------------------------------------
+# -- the layer :func:`repro.run.execute` composes -------------------------------
 
 
-def records_batch(description, data, type_name: str, mask=None, *,
-                  strict: bool = False,
-                  chunk_bytes: int = BATCH_BYTES
-                  ) -> Iterator[Tuple[object, Pd]]:
-    """Batch twin of ``description.records``: yields the identical
-    ``(rep, pd)`` stream, parsing eligible input grid-at-a-time.
-
-    Falls back to the cursor engine — silently, like the parallel entry
-    points — when the description, discipline, mask or input shape is
-    outside the batch subset; ``strict=True`` raises
-    :class:`~repro.core.errors.PadsError` instead (the ``--engine
-    batch`` contract), at call time.
-    """
-    verdict = batch_verdict(description, type_name)
-    reason = None if verdict.eligible else verdict.reason
-    if reason is None:
-        reason = _runtime_gate(description, mask)
-    feed = None
-    if reason is None:
-        feed = _feed(data, description.discipline, chunk_bytes)
-        if feed is None:
-            reason = (f"cannot feed {type(data).__name__!r} to the grid "
-                      "driver (need bytes, a path or a readable stream)")
-    if reason is not None:
-        if strict:
-            raise PadsError(f"batch engine: {type_name}: {reason}")
-        return description.records(_serial_input(description, data),
-                                   type_name, mask)
+def grid_records(description, feed, type_name: str, mask=None
+                 ) -> Iterator[Tuple[object, Pd]]:
+    """The ``(rep, pd)`` stream of an eligible run, parsed
+    grid-at-a-time from ``feed`` (record-aligned spans); identical to
+    ``description.records`` over the same bytes."""
     width, kernel = _kernel_for(description, type_name)
     stride, term = _geometry(description.discipline, width)
     # Flattening windows with ``chain`` keeps per-record iteration at C
@@ -427,53 +379,14 @@ def records_batch(description, data, type_name: str, mask=None, *,
                kernel))
 
 
-def accumulate_batch(description, data, record_type: str, mask=None, *,
-                     tracked: int = DEFAULT_TRACKED,
-                     summaries: bool = False,
-                     strict: bool = False,
-                     chunk_bytes: int = BATCH_BYTES
-                     ) -> Tuple[Accumulator, ErrorTally]:
-    """Batch twin of serial accumulation: folds every record into an
-    :class:`~repro.tools.accum.Accumulator` and an
-    :class:`~repro.core.errors.ErrorTally` (``tally.records`` is the
-    record count), parsing grid-at-a-time when eligible."""
-    acc = Accumulator(description.node(record_type), "<top>", tracked)
-    if summaries:
-        from .tools.summaries import attach_summaries
-        attach_summaries(acc)
-    tally = ErrorTally()
-    for rep, pd in records_batch(description, data, record_type, mask,
-                                 strict=strict, chunk_bytes=chunk_bytes):
-        acc.add(rep, pd)
-        tally.add(pd)
-    return acc, tally
-
-
-def count_records_batch(description, data, *, strict: bool = False,
-                        chunk_bytes: int = BATCH_BYTES) -> int:
-    """Batch twin of ``count_records``: pure discipline arithmetic —
-    terminator counting (newline records) or size division (fixed-width
-    records) over record-aligned spans, no field parsing at all."""
-    disc = description.discipline
-    reason = None
-    if getattr(description, "limits", None) is not None:
-        reason = "parse limits attached (budgets are accounted per-cursor)"
-    elif not isinstance(disc, (FixedWidthRecords, NewlineRecords)):
-        reason = f"{type(disc).__name__} records have no constant pitch"
-    feed = None
-    if reason is None:
-        feed = _feed(data, disc, chunk_bytes)
-        if feed is None:
-            reason = (f"cannot feed {type(data).__name__!r} to the grid "
-                      "driver (need bytes, a path or a readable stream)")
-    if reason is not None:
-        if strict:
-            raise PadsError(f"batch engine: count_records: {reason}")
-        return description.count_records(_serial_input(description, data))
+def count_spans(feed, discipline) -> int:
+    """Count records by discipline arithmetic — terminator counting
+    (newline records) or size division (fixed-width records) over
+    record-aligned spans, no field parsing at all."""
     obs = observe.CURRENT
     total = 0
-    if isinstance(disc, FixedWidthRecords):
-        width = disc.width
+    if isinstance(discipline, FixedWidthRecords):
+        width = discipline.width
         for buf, _ in feed:
             # Interior spans are record-aligned; only the final span may
             # end mid-record, which counts as one (short) record.

@@ -35,6 +35,7 @@ from ..core.masks import Mask, P_CheckAndSet
 from ..dsl.parser import parse_description
 from ..dsl.typecheck import check_description
 from ..plan import analyze
+from ..run import Run, execute
 from .backends import CompiledModule, get_backend, select_backend
 from .backends import load_source as load_module  # noqa: F401 - compat
 from .backends.source import generate_source as _emit
@@ -222,22 +223,6 @@ class GeneratedDescription:
                               record=src.record_idx)
             yield rep, pd
 
-    def count_records(self, data) -> int:
-        """Count records using only the record discipline (no field
-        parsing) — the analogue of the paper's record-counting program."""
-        src = self.open(data)
-        count = 0
-        while src.begin_record():
-            src.end_record()
-            count += 1
-        return count
-
-    # -- batch entry points --------------------------------------------------------
-    #
-    # Vectorized twins (:mod:`repro.batch`): the generated module carries
-    # the columnar kernels in its ``BATCH`` table — the codegen twin of
-    # the interpreter's materialised plan fragments.
-
     @property
     def plan(self):
         """The analyzed plan IR (via the cached interpreted twin)."""
@@ -245,91 +230,33 @@ class GeneratedDescription:
 
     def batch_kernel(self, type_name: str):
         """``(static width, batch kernel)`` for a batch-eligible record
-        type, or None."""
+        type, or None (the module's ``BATCH`` table)."""
         return getattr(self.module, "BATCH", {}).get(type_name)
-
-    def records_batch(self, data, type_name: str,
-                      mask: Optional[Mask] = None, *,
-                      strict: bool = False):
-        """Vectorized record stream (``records`` twin)."""
-        from ..batch import records_batch
-        return records_batch(self, data, type_name, mask, strict=strict)
-
-    def accumulate_batch(self, data, record_type: str,
-                         mask: Optional[Mask] = None, *,
-                         tracked: int = 1000, summaries: bool = False,
-                         strict: bool = False):
-        """Vectorized accumulation: returns ``(acc, tally)``."""
-        from ..batch import accumulate_batch
-        return accumulate_batch(self, data, record_type, mask,
-                                tracked=tracked, summaries=summaries,
-                                strict=strict)
-
-    def count_records_batch(self, data, *, strict: bool = False) -> int:
-        """Vectorized record counting (``count_records`` twin)."""
-        from ..batch import count_records_batch
-        return count_records_batch(self, data, strict=strict)
-
-    # -- streaming entry points ---------------------------------------------------
-    #
-    # Bounded-memory twins (:mod:`repro.stream`): read pipes, sockets and
-    # growing files through a sliding window, O(window) memory.
-
-    def records_stream(self, data, type_name: str,
-                       mask: Optional[Mask] = None, **opts):
-        """Bounded-memory record stream (``records`` twin).  ``opts``:
-        ``window``, ``follow``, ``poll_interval``, ``idle_timeout``."""
-        from ..stream import records_stream
-        return records_stream(self, data, type_name, mask, **opts)
-
-    def accumulate_stream(self, data, record_type: str,
-                          mask: Optional[Mask] = None, **opts):
-        """Bounded-memory accumulation: returns ``(acc, tally)``."""
-        from ..stream import accumulate_stream
-        return accumulate_stream(self, data, record_type, mask, **opts)
-
-    def count_records_stream(self, data, **opts) -> int:
-        """Bounded-memory record counting (``count_records`` twin)."""
-        from ..stream import count_records_stream
-        return count_records_stream(self, data, **opts)
-
-    # -- parallel entry points ----------------------------------------------------
-    #
-    # Chunked map-reduce twins (:mod:`repro.parallel`); workers rebuild
-    # this generated module from its embedded SOURCE text, so the fast
-    # path runs in every worker.
 
     @property
     def source_text(self) -> str:
+        """The description source, which parallel workers recompile."""
         return self.module.SOURCE
 
     @property
     def ambient(self) -> str:
         return self.module.AMBIENT
 
-    def records_parallel(self, data, type_name: str,
-                         mask: Optional[Mask] = None,
-                         *, jobs: Optional[int] = None):
-        """Order-preserving parallel record stream (``records`` twin)."""
-        from ..parallel import parallel_records
-        return parallel_records(self, data, type_name, mask, jobs=jobs)
+    # -- aliases over :func:`repro.run.execute` ------------------------------
 
-    def accumulate_parallel(self, data, record_type: str,
-                            mask: Optional[Mask] = None,
-                            *, jobs: Optional[int] = None,
-                            tracked: int = 1000,
-                            header_type: Optional[str] = None,
-                            summaries: bool = False):
-        """Parallel accumulation: returns ``(acc, header_acc, tally)``."""
-        from ..parallel import parallel_accumulate
-        return parallel_accumulate(self, data, record_type, mask, jobs=jobs,
-                                   tracked=tracked, header_type=header_type,
-                                   summaries=summaries)
+    def count_records(self, data) -> int:
+        """Count records using only the record discipline (no field
+        parsing) — the analogue of the paper's record-counting program."""
+        return execute(self, Run("count", data, engine="cursor")).count
 
-    def count_records_parallel(self, data, *, jobs: Optional[int] = None) -> int:
-        """Parallel record counting (``count_records`` twin)."""
-        from ..parallel import parallel_count
-        return parallel_count(self, data, jobs=jobs)
+    def records_batch(self, data, type_name: str,
+                      mask: Optional[Mask] = None):
+        """``records`` through the grid kernels whenever eligible."""
+        return execute(self, Run("records", data, type_name, mask)).records
+
+    def count_records_batch(self, data) -> int:
+        """``count_records`` by discipline arithmetic whenever eligible."""
+        return execute(self, Run("count", data)).count
 
     def write(self, rep, type_name: Optional[str] = None, *params) -> bytes:
         gen = self._gen(type_name)

@@ -18,13 +18,13 @@ module makes long runs *durable*:
   (:func:`plan_chunks_indexed`) — including for record disciplines that
   cannot be split by scanning at all (length-prefixed records).
 
-* **Checkpointed runs** (``<data>.padsckpt``).  The durable entry
-  points (:func:`records_durable`, :func:`accumulate_durable`,
-  :func:`count_records_durable`) periodically persist an atomic
-  checkpoint — tmp file + fsync + rename — holding the resume offset,
+* **Checkpointed runs** (``<data>.padsckpt``).  A
+  :func:`repro.run.execute` run with ``checkpoint`` set goes through
+  this layer (:func:`run_durable`), which periodically persists an
+  atomic checkpoint — tmp file + fsync + rename — holding the resume offset,
   the serialized mergeable accumulator/tally/metrics state and the pd
   error accounting.  After a crash (SIGKILL included; see the
-  kill-resume scenario in :mod:`repro.faults`) the same call with
+  kill-resume scenario in :mod:`repro.faults`) the same run with
   ``resume=True`` continues mid-file and produces final reports,
   error totals and observe metrics identical to an uninterrupted run.
   A checkpoint that fails its CRC or no longer matches the source file
@@ -44,19 +44,17 @@ import zlib
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import observe
-from .core.errors import ErrorTally, PadsError, Pd
+from .core.errors import ErrorTally, PadsError
 from .core.io import (
-    DEFAULT_STREAM_WINDOW,
     MIN_CHUNK_BYTES,
     RecordDiscipline,
     Source,
     StreamSource,
 )
 from .observe.metrics import MetricsRegistry
-from .tools.accum import DEFAULT_TRACKED, Accumulator
 
 __all__ = [
     "DEFAULT_INDEX_INTERVAL", "DEFAULT_CHECKPOINT_INTERVAL",
@@ -65,8 +63,7 @@ __all__ = [
     "index_path_for", "checkpoint_path_for",
     "build_index", "load_index", "write_index",
     "seek_record", "open_at_record", "plan_chunks_indexed",
-    "indexed_file_chunks",
-    "records_durable", "accumulate_durable", "count_records_durable",
+    "indexed_file_chunks", "run_durable",
 ]
 
 #: Sample a record-start offset every this many records.  ~8 bytes of
@@ -90,9 +87,10 @@ _INDEX_MAGIC = "padsidx"
 _INDEX_VERSION = 1
 _CKPT_MAGIC = b"PADSCKPT1\n"
 #: Bumped whenever a checkpointed object's pickled state changes shape
-#: (2: accumulators carry shape tags and no per-add counters), so an old
-#: checkpoint is rejected as ``version`` instead of unpickled wrongly.
-_CKPT_VERSION = 2
+#: (2: accumulators carry shape tags and no per-add counters; 3: count
+#: runs keep their total in ``records_done``), so an old checkpoint is
+#: rejected as ``version`` instead of unpickled wrongly.
+_CKPT_VERSION = 3
 
 #: Test hook: raise :class:`_InjectedCrash` once this many records (or,
 #: on the parallel path, chunks) have been processed — *after* any
@@ -468,6 +466,10 @@ def _load_checkpoint(path: str) -> Optional[dict]:
 # -- durable run state ---------------------------------------------------------
 
 
+#: Checkpoint ``mode`` per run op (the on-disk spelling).
+_MODES = {"records": "records", "accum": "accumulate", "count": "count"}
+
+
 @dataclass
 class _RunState:
     """Everything a durable run persists between crashes."""
@@ -479,9 +481,8 @@ class _RunState:
     offset: int = 0              # serial/stream resume offset
     records_done: int = 0
     total_errors: int = 0        # Source.total_errors (max_errors budget)
-    count: int = 0               # count mode
     tally: Optional[ErrorTally] = None
-    acc: Optional[Accumulator] = None
+    acc: object = None
     metrics: Optional[MetricsRegistry] = None
     windows: Optional[list] = None   # parallel chunk plan (pinned on resume)
     chunks_done: int = 0
@@ -494,15 +495,14 @@ class _RunState:
             "record_type": self.record_type, "binding": self.binding,
             "interval": self.interval, "offset": self.offset,
             "records_done": self.records_done,
-            "total_errors": self.total_errors, "count": self.count,
+            "total_errors": self.total_errors,
             "tally": self.tally, "acc": self.acc, "metrics": self.metrics,
             "windows": self.windows, "chunks_done": self.chunks_done,
             "index_builder": self.index_builder,
         }
 
 
-def _resume_state(ckpt_path: str, path: str, mode: str,
-                  record_type: Optional[str], interval: int,
+def _resume_state(ckpt_path: str, mode: str, record_type: Optional[str],
                   binding: dict) -> Optional[_RunState]:
     """The checkpointed state to continue from, or None (no checkpoint,
     or one that failed validation — the run starts over either way)."""
@@ -515,16 +515,10 @@ def _resume_state(ckpt_path: str, path: str, mode: str,
     if payload.get("binding") != binding:
         _reject_checkpoint("stale")
         return None
+    fields = ("interval", "offset", "records_done", "total_errors", "tally",
+              "acc", "metrics", "windows", "chunks_done", "index_builder")
     state = _RunState(mode=mode, record_type=record_type, binding=binding,
-                      interval=payload["interval"],
-                      offset=payload["offset"],
-                      records_done=payload["records_done"],
-                      total_errors=payload["total_errors"],
-                      count=payload["count"], tally=payload["tally"],
-                      acc=payload["acc"], metrics=payload["metrics"],
-                      windows=payload["windows"],
-                      chunks_done=payload["chunks_done"],
-                      index_builder=payload["index_builder"], resumed=True)
+                      resumed=True, **{k: payload[k] for k in fields})
     observe.count("checkpoint.resumes")
     observe.count("checkpoint.records_skipped", n=state.records_done)
     return state
@@ -544,89 +538,61 @@ def _metered(restored: Optional[MetricsRegistry]):
     parent.metrics.merge(obs.metrics)
 
 
-def _open_resume_source(description, path: str, offset: int,
-                        engine: str, window: Optional[int]) -> Source:
-    limits = getattr(description, "limits", None)
-    if engine == "stream":
-        handle = open(path, "rb")
-        handle.seek(offset)
-        src = StreamSource(handle, description.discipline,
-                           window=window or DEFAULT_STREAM_WINDOW,
-                           limits=limits, owns_stream=True)
-        # StreamSource has no ``start``: rebase the absolute cursor onto
-        # the pre-seeked handle (the buffer is still empty here).
-        src._base = src.pos = offset
-        src.rec_start = src.rec_end = src.rec_next = offset
-        return src
-    return Source.from_file(path, description.discipline, start=offset,
-                            limits=limits)
-
-
-def _fresh_accumulator(description, record_type: str, tracked: int,
-                       summaries: bool) -> Accumulator:
-    acc = Accumulator(description.node(record_type), "<top>", tracked)
-    if summaries:
-        from .tools.summaries import attach_summaries
-        attach_summaries(acc)
-    return acc
-
-
 def _maybe_crash(done: int) -> None:
     if _CRASH_AFTER is not None and done >= _CRASH_AFTER:
         raise _InjectedCrash(f"injected crash after {done}")
 
 
-def _finish(ckpt_path: Optional[str], state: _RunState, path: str,
-            discipline: RecordDiscipline) -> None:
-    """Clean completion: publish the side-effect index, drop the
-    checkpoint."""
-    if state.index_builder is not None:
-        builder = IndexBuilder.restore(state.index_builder)
-        write_index(path, builder, discipline)
-    if ckpt_path is not None:
-        try:
-            os.unlink(ckpt_path)
-        except OSError:
-            pass
+def _checkpoint_spec(checkpoint, path: str) -> Tuple[Optional[str], int]:
+    """``(checkpoint path or None, interval)`` from a run's
+    ``checkpoint`` field (see :class:`repro.run.Run`)."""
+    every = DEFAULT_CHECKPOINT_INTERVAL
+    if checkpoint is None:
+        return None, every
+    if isinstance(checkpoint, tuple):
+        target, every = checkpoint
+    elif isinstance(checkpoint, str):
+        target = checkpoint
+    else:
+        target = checkpoint_path_for(path)
+        if checkpoint is not True:
+            every = checkpoint
+    return target, max(1, every)
+
+
+def _boundaries(src: Source):
+    """One ``None`` per record boundary: the count op's unit stream."""
+    while src.begin_record():
+        src.end_record()
+        yield None
 
 
 class _DurableRun:
-    """Shared scaffolding for the three durable entry points: state
-    load/init, checkpoint cadence, index side-effects, completion."""
+    """The checkpointing layer: state load/init, checkpoint cadence,
+    index side effects, completion."""
 
-    def __init__(self, description, path, mode: str,
-                 record_type: Optional[str], *,
-                 checkpoint, interval: int, resume: bool,
-                 jobs: Optional[int], engine: str, window: Optional[int],
-                 build_index: bool, index_interval: int):
+    def __init__(self, description, run):
         self.description = description
-        self.path = os.fspath(path)
+        self.run = run
+        self.path = os.fspath(run.data)
         if not os.path.isfile(self.path):
             raise PadsError(f"durable runs need a seekable file, "
                             f"not {self.path!r}")
-        if engine not in ("serial", "stream"):
-            raise PadsError(f"unknown durable engine {engine!r} "
-                            "(use 'serial' or 'stream')")
-        self.mode = mode
-        self.record_type = record_type
-        self.engine = engine
-        self.window = window
-        self.jobs = jobs if jobs is not None else 1
+        self.jobs = run.jobs
         cur = observe.CURRENT
         if cur is not None and cur.tracer is not None:
             self.jobs = 1  # tracing pins the serial path (complete stream)
-        self.interval = max(1, interval)
         self.binding = source_binding(self.path)
-        if checkpoint is None and resume:
+        checkpoint = run.checkpoint
+        if checkpoint is None and run.resume:
             checkpoint = True
-        self.ckpt_path: Optional[str] = None
-        if checkpoint:
-            self.ckpt_path = checkpoint if isinstance(checkpoint, str) \
-                else checkpoint_path_for(self.path)
+        self.ckpt_path, self.interval = _checkpoint_spec(checkpoint,
+                                                         self.path)
+        mode = _MODES[run.op]
+        record_type = run.record_type if run.op != "count" else None
         self.state: Optional[_RunState] = None
-        if resume and self.ckpt_path is not None:
-            self.state = _resume_state(self.ckpt_path, self.path, mode,
-                                       record_type, self.interval,
+        if run.resume and self.ckpt_path is not None:
+            self.state = _resume_state(self.ckpt_path, mode, record_type,
                                        self.binding)
         if self.state is None:
             self.state = _RunState(mode=mode, record_type=record_type,
@@ -634,44 +600,54 @@ class _DurableRun:
                                    interval=self.interval)
         # Side-effect index: built when asked for, unless a valid one
         # already exists.  A resumed run continues its builder from the
-        # checkpoint; a resumed run whose checkpoint predates the flag
+        # checkpoint; a resumed run whose checkpoint predates the request
         # (builder is None but records were done) cannot sample the
         # skipped prefix and skips building.
         self.index = load_index(self.path, description.discipline)
-        if build_index and self.index is None \
+        if run.index and self.index is None \
                 and not (self.state.resumed and self.state.index_builder is None):
             if self.state.index_builder is None:
-                self.state.index_builder = IndexBuilder(index_interval).state()
+                every = DEFAULT_INDEX_INTERVAL if run.index is True \
+                    else run.index
+                self.state.index_builder = IndexBuilder(every).state()
+        self.obs = None
 
     # -- pieces ------------------------------------------------------------
 
-    def _sink(self) -> Optional[IndexBuilder]:
-        if self.state.index_builder is None:
-            return None
-        return IndexBuilder.restore(self.state.index_builder)
-
     def _checkpoint(self, src: Optional[Source],
-                    obs, builder: Optional[IndexBuilder]) -> None:
+                    builder: Optional[IndexBuilder]) -> None:
         state = self.state
         if src is not None:
             state.offset = src.pos
             state.total_errors = src.total_errors
         if builder is not None:
             state.index_builder = builder.state()
-        state.metrics = obs.metrics if obs is not None else None
+        state.metrics = self.obs.metrics if self.obs is not None else None
         if self.ckpt_path is not None:
             _write_checkpoint(self.ckpt_path, state.payload())
 
     def _serial_source(self) -> Source:
-        src = _open_resume_source(self.description, self.path,
-                                  self.state.offset, self.engine, self.window)
+        description, offset = self.description, self.state.offset
+        limits = description.limits
+        if self.run.window:
+            handle = open(self.path, "rb")
+            handle.seek(offset)
+            src = StreamSource(handle, description.discipline,
+                               window=self.run.window, limits=limits,
+                               owns_stream=True)
+            # StreamSource has no ``start``: rebase the absolute cursor
+            # onto the pre-seeked handle (the buffer is still empty here).
+            src._base = src.pos = offset
+            src.rec_start = src.rec_end = src.rec_next = offset
+        else:
+            src = Source.from_file(self.path, description.discipline,
+                                   start=offset, limits=limits)
         # Rebase so record indices in locations and metrics continue the
         # pre-crash numbering.
         src.record_idx = self.state.records_done - 1
         src.total_errors = self.state.total_errors
-        builder = self._sink()
-        if builder is not None:
-            src.index_sink = builder
+        if self.state.index_builder is not None:
+            src.index_sink = IndexBuilder.restore(self.state.index_builder)
         return src
 
     def _plan(self) -> Optional[list]:
@@ -679,15 +655,15 @@ class _DurableRun:
         serial path.  Planning prefers the persistent index; the plan is
         stored in the checkpoint so a resumed run re-reduces the exact
         same chunks."""
-        if self.jobs <= 1 or self.engine == "stream":
+        if self.jobs <= 1 or self.run.window:
             return None
         if self.state.windows is not None:
             return self.state.windows
         if self.state.records_done:
             return None  # resumed mid-serial-pass: stay serial
-        from . import parallel as _parallel
-        plan = _parallel._plan_windows(self.description,
-                                       _PathData(self.path), self.jobs)
+        from .parallel import _plan_windows
+        plan = _plan_windows(self.description, _PathData(self.path),
+                             self.jobs)
         if plan is None:
             return None
         windows, self.jobs = plan
@@ -697,9 +673,53 @@ class _DurableRun:
         self.state.index_builder = None
         return windows
 
+    def serial(self, units):
+        """Yield each unit ``units(src)`` produces (a record, or a bare
+        boundary), checkpointing every ``interval`` units *after* the
+        consumer has taken it into the state being persisted."""
+        state = self.state
+        src = self._serial_source()
+        builder = src.index_sink
+        try:
+            for unit in units(src):
+                yield unit
+                state.records_done += 1
+                if state.records_done % self.interval == 0:
+                    self._checkpoint(src, builder)
+                _maybe_crash(state.records_done)
+        finally:
+            src.close()
+        if builder is not None:
+            state.index_builder = builder.state()
+
+    def chunks(self):
+        """Yield each remaining pinned chunk's result, checkpointing
+        after the consumer has reduced it (and advanced
+        ``records_done``)."""
+        from .parallel import map_chunks
+        from .run import job_of
+        state = self.state
+        for part in map_chunks(self.description,
+                               [state.windows[state.chunks_done:]],
+                               self.jobs, job_of(self.run)):
+            yield part
+            state.chunks_done += 1
+            state.offset = state.windows[state.chunks_done - 1][3]
+            self._checkpoint(None, None)
+            _maybe_crash(state.chunks_done)
+
     def finish(self) -> None:
-        _finish(self.ckpt_path, self.state, self.path,
-                self.description.discipline)
+        """Clean completion: publish the side-effect index, drop the
+        checkpoint."""
+        state = self.state
+        if state.index_builder is not None:
+            builder = IndexBuilder.restore(state.index_builder)
+            write_index(self.path, builder, self.description.discipline)
+        if self.ckpt_path is not None:
+            try:
+                os.unlink(self.ckpt_path)
+            except OSError:
+                pass
 
 
 class _PathData(os.PathLike):
@@ -712,199 +732,64 @@ class _PathData(os.PathLike):
         return self._path
 
 
-# -- durable entry points ------------------------------------------------------
+def run_durable(description, run) -> dict:
+    """The durable layer of :func:`repro.run.execute`: ``{"records":
+    iterator}``, ``{"acc", "tally"}`` or ``{"count"}`` for the run's op.
 
-
-def accumulate_durable(description, path, record_type: str, mask=None, *,
-                       checkpoint=True,
-                       interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-                       resume: bool = False,
-                       jobs: Optional[int] = None,
-                       engine: str = "serial",
-                       window: Optional[int] = None,
-                       tracked: int = DEFAULT_TRACKED,
-                       summaries: bool = False,
-                       build_index: bool = True,
-                       index_interval: int = DEFAULT_INDEX_INTERVAL,
-                       ) -> Tuple[Accumulator, ErrorTally]:
-    """Checkpointed accumulation over a file: ``(acc, tally)``, where
-    ``tally.records`` is the record count.
-
-    ``checkpoint`` is True (default path: ``<path>.padsckpt``), a path,
-    or None to run the same loop without persistence.  ``resume=True``
-    continues from a valid checkpoint — final reports, error accounting
-    and observe parse metrics are identical to an uninterrupted run
+    Final reports, error accounting and observe parse metrics of a
+    resumed run are identical to an uninterrupted one
     (``tests/test_durable.py`` pins this per gallery description; the
-    same caveats as the parallel engine apply to ``summaries`` and
-    value tables past ``tracked``).  A missing/corrupt/stale checkpoint
-    is counted in ``checkpoint.rejected`` and the run starts over.
-    ``mask`` is not checkpointed: pass the same mask when resuming.
+    same caveats as the parallel engine apply to ``summaries`` and value
+    tables past ``tracked``).  A resumed ``records`` run yields only the
+    records after the last checkpoint — the suffix an interrupted
+    ``padsc fmt/xml --resume`` still needs to emit.  A
+    missing/corrupt/stale checkpoint is counted in
+    ``checkpoint.rejected`` and the run starts over.  ``mask`` is not
+    checkpointed: pass the same mask when resuming.
     """
-    run = _DurableRun(description, path, "accumulate", record_type,
-                      checkpoint=checkpoint, interval=interval, resume=resume,
-                      jobs=jobs, engine=engine, window=window,
-                      build_index=build_index, index_interval=index_interval)
-    state = run.state
-    acc = _fresh_accumulator(description, record_type, tracked, summaries)
-    if state.acc is not None:
-        acc.merge(state.acc)
-    tally = state.tally if state.tally is not None else ErrorTally()
-    state.acc, state.tally = acc, tally
-
-    with _metered(state.metrics) as obs:
-        windows = run._plan()
+    dr = _DurableRun(description, run)
+    if run.op == "records":
+        return {"records": _durable_records(dr)}
+    state = dr.state
+    with _metered(state.metrics) as dr.obs:
+        windows = dr._plan()
+        if run.op == "count":
+            if windows is None:
+                for _ in dr.serial(_boundaries):
+                    pass
+            else:
+                for part in dr.chunks():
+                    state.records_done += part
+            dr.finish()
+            return {"count": state.records_done}
+        from .parallel import merge_accum
+        from .run import fold, new_accumulator
+        acc = new_accumulator(description, run.record_type, run.tracked,
+                              run.summaries)
+        if state.acc is not None:
+            acc.merge(state.acc)
+        tally = state.tally if state.tally is not None else ErrorTally()
+        state.acc, state.tally = acc, tally
         if windows is None:
-            src = run._serial_source()
-            builder = src.index_sink
-            try:
-                for rep, pd in description.records(src, record_type, mask):
-                    acc.add(rep, pd)
-                    tally.add(pd)
-                    state.records_done += 1
-                    if state.records_done % run.interval == 0:
-                        run._checkpoint(src, obs, builder)
-                    _maybe_crash(state.records_done)
-            finally:
-                src.close()
-            if builder is not None:
-                state.index_builder = builder.state()
+            fold(dr.serial(lambda src: description.records(
+                src, run.record_type, run.mask)), acc, tally)
         else:
-            _run_parallel_accum(run, description, record_type, mask,
-                                tracked, summaries, acc, tally, obs)
-    run.finish()
-    return acc, tally
+            for part in dr.chunks():
+                state.records_done += merge_accum(acc, tally, part,
+                                                  state.records_done)
+    dr.finish()
+    return {"acc": acc, "tally": tally}
 
 
-def _run_parallel_accum(run: _DurableRun, description, record_type, mask,
-                        tracked, summaries, acc, tally, obs) -> None:
-    from . import parallel as _parallel
-    state = run.state
-    windows = state.windows[state.chunks_done:]
-    spec = _parallel._spec_for(description)
-    _parallel._seed(description, spec)
-    tasks = [(spec, w, record_type, mask, tracked, summaries, obs is not None)
-             for w in windows]
-    for part_acc, part_tally, registry in _parallel._healing_map(
-            _parallel._map_accum, tasks, run.jobs,
-            timeout=_parallel._chunk_timeout(spec)):
-        if registry is not None and obs is not None:
-            obs.metrics.merge(registry)
-        acc.merge(part_acc)
-        _parallel._rebase_tally(part_tally, state.records_done)
-        state.records_done += part_tally.records
-        tally.merge(part_tally)
-        state.chunks_done += 1
-        state.offset = state.windows[state.chunks_done - 1][3]
-        run._checkpoint(None, obs, None)
-        _maybe_crash(state.chunks_done)
-
-
-def count_records_durable(description, path, *,
-                          checkpoint=True,
-                          interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-                          resume: bool = False,
-                          jobs: Optional[int] = None,
-                          engine: str = "serial",
-                          window: Optional[int] = None,
-                          build_index: bool = True,
-                          index_interval: int = DEFAULT_INDEX_INTERVAL,
-                          ) -> int:
-    """Checkpointed record counting (record discipline only)."""
-    run = _DurableRun(description, path, "count", None,
-                      checkpoint=checkpoint, interval=interval, resume=resume,
-                      jobs=jobs, engine=engine, window=window,
-                      build_index=build_index, index_interval=index_interval)
-    state = run.state
-
-    with _metered(state.metrics) as obs:
-        windows = run._plan()
-        if windows is None:
-            src = run._serial_source()
-            builder = src.index_sink
-            try:
-                while src.begin_record():
-                    src.end_record()
-                    state.count += 1
-                    state.records_done += 1
-                    if state.records_done % run.interval == 0:
-                        run._checkpoint(src, obs, builder)
-                    _maybe_crash(state.records_done)
-            finally:
-                src.close()
-            if builder is not None:
-                state.index_builder = builder.state()
+def _durable_records(dr: _DurableRun):
+    from .parallel import rebased_records
+    run, state = dr.run, dr.state
+    with _metered(state.metrics) as dr.obs:
+        if dr._plan() is None:
+            yield from dr.serial(lambda src: dr.description.records(
+                src, run.record_type, run.mask))
         else:
-            from . import parallel as _parallel
-            spec = _parallel._spec_for(description)
-            _parallel._seed(description, spec)
-            tasks = [(spec, w) for w in state.windows[state.chunks_done:]]
-            for part in _parallel._healing_map(
-                    _parallel._map_count, tasks, run.jobs,
-                    timeout=_parallel._chunk_timeout(spec)):
-                state.count += part
-                state.records_done += part
-                state.chunks_done += 1
-                state.offset = state.windows[state.chunks_done - 1][3]
-                run._checkpoint(None, obs, None)
-                _maybe_crash(state.chunks_done)
-    run.finish()
-    return state.count
-
-
-def records_durable(description, path, type_name: str, mask=None, *,
-                    checkpoint=True,
-                    interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-                    resume: bool = False,
-                    jobs: Optional[int] = None,
-                    engine: str = "serial",
-                    window: Optional[int] = None,
-                    build_index: bool = True,
-                    index_interval: int = DEFAULT_INDEX_INTERVAL,
-                    ) -> Iterator[Tuple[object, Pd]]:
-    """Checkpointed ``records()``: yields ``(rep, pd)`` with global
-    record indices in locations.  A resumed run yields only the records
-    after the last checkpoint — the suffix an interrupted ``padsc
-    fmt/xml --resume`` still needs to emit."""
-    run = _DurableRun(description, path, "records", type_name,
-                      checkpoint=checkpoint, interval=interval, resume=resume,
-                      jobs=jobs, engine=engine, window=window,
-                      build_index=build_index, index_interval=index_interval)
-    state = run.state
-
-    with _metered(state.metrics) as obs:
-        windows = run._plan()
-        if windows is None:
-            src = run._serial_source()
-            builder = src.index_sink
-            try:
-                for rep, pd in description.records(src, type_name, mask):
-                    yield rep, pd
-                    state.records_done += 1
-                    if state.records_done % run.interval == 0:
-                        run._checkpoint(src, obs, builder)
-                    _maybe_crash(state.records_done)
-            finally:
-                src.close()
-            if builder is not None:
-                state.index_builder = builder.state()
-        else:
-            from . import parallel as _parallel
-            spec = _parallel._spec_for(description)
-            _parallel._seed(description, spec)
-            tasks = [(spec, w, type_name, mask, obs is not None)
-                     for w in state.windows[state.chunks_done:]]
-            for chunk, registry in _parallel._healing_map(
-                    _parallel._map_records, tasks, run.jobs,
-                    timeout=_parallel._chunk_timeout(spec)):
-                if registry is not None and obs is not None:
-                    obs.metrics.merge(registry)
-                cache: dict = {}
-                for rep, pd in chunk:
-                    _parallel._rebase_pd(pd, state.records_done, cache)
-                    yield rep, pd
+            for chunk in dr.chunks():
+                yield from rebased_records([chunk], state.records_done)
                 state.records_done += len(chunk)
-                state.chunks_done += 1
-                state.offset = state.windows[state.chunks_done - 1][3]
-                run._checkpoint(None, obs, None)
-                _maybe_crash(state.chunks_done)
-    run.finish()
+    dr.finish()

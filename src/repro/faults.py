@@ -342,8 +342,20 @@ def _durable_child(description, path: str, record_type: str,
     as an OOM kill or host reboot."""
     import os as _os
     _os.setsid()
-    from .durable import accumulate_durable
-    accumulate_durable(description, path, record_type, interval=interval)
+    _durable_accum(description, path, record_type, interval)
+
+
+def _durable_accum(description, path: str, record_type: str,
+                   interval: Optional[int], resume: bool = False):
+    """A checkpointed (``interval`` records) or, with ``interval=None``,
+    an unpersisted durable accumulate; indexes the file as it goes."""
+    import pathlib
+
+    from .run import Run, execute
+    r = execute(description, Run("accum", pathlib.Path(path), record_type,
+                                 checkpoint=interval, resume=resume,
+                                 index=True))
+    return r.acc, r.tally
 
 
 def kill_resume_check(description, path: str, record_type: str, *,
@@ -364,7 +376,7 @@ def kill_resume_check(description, path: str, record_type: str, *,
     import signal
     import time
 
-    from .durable import CHECKPOINT_SUFFIX, INDEX_SUFFIX, accumulate_durable
+    from .durable import CHECKPOINT_SUFFIX, INDEX_SUFFIX
 
     rng = rng or random.Random(0)
     ckpt = path + CHECKPOINT_SUFFIX
@@ -373,8 +385,7 @@ def kill_resume_check(description, path: str, record_type: str, *,
             _os.unlink(stale)
 
     # Uninterrupted reference: the same durable loop, no persistence.
-    ref_acc, ref_tally = accumulate_durable(description, path, record_type,
-                                            checkpoint=None)
+    ref_acc, ref_tally = _durable_accum(description, path, record_type, None)
 
     ctx = multiprocessing.get_context("fork")
     victim = ctx.Process(target=_durable_child,
@@ -396,8 +407,8 @@ def kill_resume_check(description, path: str, record_type: str, *,
         victim.join()
         return "victim did not die within the timeout"
 
-    acc, tally = accumulate_durable(description, path, record_type,
-                                    interval=interval, resume=True)
+    acc, tally = _durable_accum(description, path, record_type, interval,
+                                resume=True)
     if _os.path.exists(ckpt):
         return "checkpoint not cleaned up after completed resume"
     if tally.records != ref_tally.records:

@@ -17,13 +17,14 @@ adds the missing execution engine:
    concatenate, accumulators :meth:`~repro.tools.accum.Accumulator.merge`,
    error tallies :meth:`~repro.core.errors.ErrorTally.merge`, counts sum.
 
-Every entry point is observationally equivalent to its serial twin and
-falls back to the serial path whenever splitting is impossible or not
-worthwhile: ``jobs <= 1``, a non-chunkable record discipline
-(:class:`~repro.core.io.NoRecords`, length-prefixed records), inputs
-smaller than one chunk, an already-open :class:`Source`, or a
-description whose source text is unavailable.  The parallel path is an
-optimisation, never a semantic fork.
+This is the fan-out layer of :func:`repro.run.execute`: a run with
+``jobs > 1`` is observationally equivalent to the serial run, and the
+chooser keeps the serial path whenever splitting is impossible or not
+worthwhile: a non-chunkable record discipline
+(:class:`~repro.core.io.NoRecords`, length-prefixed records without an
+index), inputs smaller than one chunk, an already-open :class:`Source`,
+or a description whose source text is unavailable.  The parallel path
+is an optimisation, never a semantic fork.
 
 Inputs may be ``bytes``/``str`` (in-memory, chunks are sliced and shipped
 to workers) or an :class:`os.PathLike` (each worker opens its own windowed
@@ -49,14 +50,9 @@ from . import observe
 from .core.errors import ErrorTally, PadsError
 from .core.io import RecordDiscipline, Source, plan_chunks
 from .core.limits import ParseLimits
-from .tools.accum import DEFAULT_TRACKED, Accumulator
 
-__all__ = [
-    "DescSpec", "parallel_records", "parallel_accumulate", "parallel_count",
-    "parallel_tally", "tally_records", "shutdown",
-    "parallel_records_stream", "parallel_count_stream",
-    "parallel_accumulate_stream", "STREAM_CHUNK_BYTES",
-]
+__all__ = ["DescSpec", "shutdown", "map_chunks", "stream_batches",
+           "rebased_records", "merge_accum", "STREAM_CHUNK_BYTES"]
 
 #: Test/fault-injection hook: when set (before the worker pool is
 #: created, so fork-started workers inherit it), every map function calls
@@ -339,12 +335,6 @@ def _open_window(window: tuple, discipline: RecordDiscipline,
     return Source(chunk, discipline=discipline, start=offset, limits=limits)
 
 
-def _serial_input(description, data):
-    if isinstance(data, os.PathLike):
-        return description.open_file(os.fspath(data))
-    return data
-
-
 # -- map functions (run inside workers) ----------------------------------------
 
 
@@ -370,88 +360,42 @@ def _window_records(desc, window, type_name, mask, limits) -> list:
             src.close()
 
 
-def _map_records(task) -> tuple:
-    spec, window, type_name, mask, meter = task
+def _map(task) -> tuple:
+    """One worker chunk: ``(result, metrics-or-None)`` where the result
+    is the chunk's record list, its ``(acc, tally)`` fold or its count
+    (``job`` is :func:`repro.run.job_of`)."""
+    spec, window, job, meter = task
     if _WORKER_FAULT is not None:
         _WORKER_FAULT(task)
     desc = _materialise(spec)
     if not meter:
-        return _window_records(desc, window, type_name, mask,
-                               spec.limits), None
+        return _work(desc, window, job, spec.limits), None
     with observe.observed() as obs:
-        out = _window_records(desc, window, type_name, mask, spec.limits)
+        out = _work(desc, window, job, spec.limits)
     return out, obs.metrics
 
 
-def _map_count(task) -> int:
-    spec, window = task
-    if _WORKER_FAULT is not None:
-        _WORKER_FAULT(task)
-    desc = _materialise(spec)
-    from .batch import window_count
-    batched = window_count(desc, window)
-    if batched is not None:
-        return batched
-    src = _open_window(window, desc.discipline, spec.limits)
-    with src:
-        count = 0
-        while src.begin_record():
-            src.end_record()
-            count += 1
-        return count
-
-
-def _map_tally(task) -> tuple:
-    spec, window, type_name, mask, meter = task
-    if _WORKER_FAULT is not None:
-        _WORKER_FAULT(task)
-    desc = _materialise(spec)
-
-    def run():
-        tally = ErrorTally()
-        it, src = _window_iter(desc, window, type_name, mask, spec.limits)
-        try:
-            for _rep, pd in it:
-                tally.add(pd)
-        finally:
-            if src is not None:
-                src.close()
-        return tally
-
-    if not meter:
-        return run(), None
-    with observe.observed() as obs:
-        tally = run()
-    return tally, obs.metrics
-
-
-def _map_accum(task) -> tuple:
-    spec, window, record_type, mask, tracked, summaries, meter = task
-    if _WORKER_FAULT is not None:
-        _WORKER_FAULT(task)
-    desc = _materialise(spec)
-    acc = Accumulator(desc.node(record_type), "<top>", tracked)
-    if summaries:
-        from .tools.summaries import attach_summaries
-        attach_summaries(acc)
-
-    def run():
-        tally = ErrorTally()
-        it, src = _window_iter(desc, window, record_type, mask, spec.limits)
-        try:
-            for rep, pd in it:
-                acc.add(rep, pd)
-                tally.add(pd)
-        finally:
-            if src is not None:
-                src.close()
-        return tally
-
-    if not meter:
-        return acc, run(), None
-    with observe.observed() as obs:
-        tally = run()
-    return acc, tally, obs.metrics
+def _work(desc, window, job, limits):
+    from .run import count_source, fold, new_accumulator
+    op, type_name, mask, tracked, summaries = job
+    if op == "count":
+        from .batch import window_count
+        batched = window_count(desc, window)
+        if batched is not None:
+            return batched
+        with _open_window(window, desc.discipline, limits) as src:
+            return count_source(src)
+    if op == "records":
+        return _window_records(desc, window, type_name, mask, limits)
+    acc = new_accumulator(desc, type_name, tracked, summaries)
+    tally = ErrorTally()
+    it, src = _window_iter(desc, window, type_name, mask, limits)
+    try:
+        fold(it, acc, tally)
+    finally:
+        if src is not None:
+            src.close()
+    return acc, tally
 
 
 def _seed(description, spec: DescSpec) -> None:
@@ -494,29 +438,30 @@ def _rebase_tally(tally: ErrorTally, offset: int) -> None:
         tally.first_error_loc = replace(loc, record=loc.record + offset)
 
 
-# -- public entry points -------------------------------------------------------
+# -- the layer :func:`repro.run.execute` composes -------------------------------
 
 
-def parallel_records(description, data, type_name: str, mask=None,
-                     *, jobs: Optional[int] = None) -> Iterator[tuple]:
-    """Parallel twin of ``description.records``: yields ``(rep, pd)``
-    pairs in input order.  Workers parse whole chunks, the parent yields
-    chunk results in chunk order."""
-    plan = _plan_windows(description, data, jobs)
-    if plan is None:
-        yield from description.records(_serial_input(description, data),
-                                       type_name, mask)
-        return
-    windows, jobs = plan
+def map_chunks(description, batches, jobs: int, job: tuple) -> Iterator:
+    """Per-chunk results in input order for every window of every batch
+    (a list of windows), through the self-healing pool.  Worker metrics
+    merge into the active observer as each chunk completes."""
     spec = _spec_for(description)
     _seed(description, spec)
+    timeout = _chunk_timeout(spec)
     cur = observe.CURRENT
-    tasks = [(spec, w, type_name, mask, cur is not None) for w in windows]
-    base = 0
-    for chunk, registry in _healing_map(_map_records, tasks, jobs,
-                                        timeout=_chunk_timeout(spec)):
-        if registry is not None and cur is not None:
-            cur.metrics.merge(registry)
+    for windows in batches:
+        tasks = [(spec, w, job, cur is not None) for w in windows]
+        for out, registry in _healing_map(_map, tasks, jobs,
+                                          timeout=timeout):
+            if registry is not None and cur is not None:
+                cur.metrics.merge(registry)
+            yield out
+
+
+def rebased_records(chunks, base: int = 0) -> Iterator[tuple]:
+    """Flatten per-chunk record lists, rebasing chunk-local record
+    indices to global ones."""
+    for chunk in chunks:
         cache: dict = {}
         for rep, pd in chunk:
             _rebase_pd(pd, base, cache)
@@ -524,131 +469,27 @@ def parallel_records(description, data, type_name: str, mask=None,
         base += len(chunk)
 
 
-def parallel_count(description, data, *, jobs: Optional[int] = None) -> int:
-    """Parallel twin of ``description.count_records``."""
-    plan = _plan_windows(description, data, jobs)
-    if plan is None:
-        return description.count_records(_serial_input(description, data))
-    windows, jobs = plan
-    spec = _spec_for(description)
-    _seed(description, spec)
-    tasks = [(spec, w) for w in windows]
-    return sum(_healing_map(_map_count, tasks, jobs,
-                            timeout=_chunk_timeout(spec)))
-
-
-def tally_records(description, data, type_name: str, mask=None) -> ErrorTally:
-    """Serial vetting reducer: fold every record's pd into one tally."""
-    tally = ErrorTally()
-    for _rep, pd in description.records(_serial_input(description, data),
-                                        type_name, mask):
-        tally.add(pd)
-    return tally
-
-
-def parallel_tally(description, data, type_name: str, mask=None,
-                   *, jobs: Optional[int] = None) -> ErrorTally:
-    """Parallel vetting: parse every record, reduce the parse descriptors
-    to an :class:`ErrorTally` inside the workers, merge in chunk order.
-    Identical totals to :func:`tally_records` by construction."""
-    plan = _plan_windows(description, data, jobs)
-    if plan is None:
-        return tally_records(description, data, type_name, mask)
-    windows, jobs = plan
-    spec = _spec_for(description)
-    _seed(description, spec)
-    cur = observe.CURRENT
-    tasks = [(spec, w, type_name, mask, cur is not None) for w in windows]
-    tally = ErrorTally()
-    base = 0
-    for part, registry in _healing_map(_map_tally, tasks, jobs,
-                                       timeout=_chunk_timeout(spec)):
-        if registry is not None and cur is not None:
-            cur.metrics.merge(registry)
-        _rebase_tally(part, base)
-        base += part.records
-        tally.merge(part)
-    return tally
-
-
-def parallel_accumulate(description, data, record_type: str, mask=None,
-                        *, jobs: Optional[int] = None,
-                        tracked: int = DEFAULT_TRACKED,
-                        header_type: Optional[str] = None,
-                        summaries: bool = False):
-    """Parallel twin of :func:`repro.tools.accum.accumulate_records`.
-
-    Returns ``(record_accumulator, header_accumulator_or_None, tally)``
-    where ``tally.records`` is the record count.  When a ``header_type``
-    is given, the header is parsed serially in the parent and chunk
-    planning starts after it.
-    """
-    header_acc = None
-    start = 0
-    base = 0  # records consumed before the chunked region (the header)
-    if header_type is not None:
-        header_acc = Accumulator(description.node(header_type), "<header>",
-                                 tracked)
-        src = description.open(_serial_input(description, data)) \
-            if not isinstance(data, os.PathLike) \
-            else description.open_file(os.fspath(data))
-        rep, pd = description.parse(src, header_type)
-        header_acc.add(rep, pd)
-        start = src.pos
-        base = src.record_idx + 1
-        if isinstance(data, os.PathLike):
-            src.close()
-
-    plan = _plan_windows(description, data, jobs, start=start)
-    acc = Accumulator(description.node(record_type), "<top>", tracked)
-    if summaries:
-        from .tools.summaries import attach_summaries
-        attach_summaries(acc)
-    tally = ErrorTally()
-
-    if plan is None:
-        if header_type is not None and not isinstance(data, os.PathLike):
-            records_input = src  # continue from where the header ended
-        elif header_type is not None:
-            records_input = Source.from_file(os.fspath(data),
-                                             description.discipline,
-                                             start=start)
-        else:
-            records_input = _serial_input(description, data)
-        for rep, pd in description.records(records_input, record_type, mask):
-            acc.add(rep, pd)
-            tally.add(pd)
-        return acc, header_acc, tally
-
-    windows, jobs = plan
-    spec = _spec_for(description)
-    _seed(description, spec)
-    cur = observe.CURRENT
-    tasks = [(spec, w, record_type, mask, tracked, summaries, cur is not None)
-             for w in windows]
-    for part_acc, part_tally, registry in _healing_map(
-            _map_accum, tasks, jobs, timeout=_chunk_timeout(spec)):
-        if registry is not None and cur is not None:
-            cur.metrics.merge(registry)
-        acc.merge(part_acc)
-        _rebase_tally(part_tally, base)
-        base += part_tally.records
-        tally.merge(part_tally)
-    return acc, header_acc, tally
+def merge_accum(acc, tally: ErrorTally, part: tuple, base: int) -> int:
+    """Reduce one chunk's ``(acc, tally)`` into the run's, its record
+    indices rebased by ``base``; returns the chunk's record count."""
+    part_acc, part_tally = part
+    acc.merge(part_acc)
+    _rebase_tally(part_tally, base)
+    tally.merge(part_tally)
+    return part_tally.records
 
 
 # -- pipelined streaming --------------------------------------------------------
 #
-# The streaming twins of the entry points above.  ``plan_chunks`` needs a
-# seekable file of known size; a live stream (pipe, socket, growing file)
-# has neither, so the feeder below carves record-aligned chunks *as the
-# bytes arrive* using the discipline's ``cut`` and ships each batch to
-# the pool without waiting for EOF.  Unlike the seekable entry points
-# these do NOT silently degrade to serial when the stream cannot be
-# chunked — a caller who asked for jobs on a stream gets a
-# :class:`PadsError` diagnostic instead (the CLI turns it into exit 2).
-# The serial path is used only where it is exact policy: ``jobs <= 1``,
-# an active tracer, or an already-open :class:`Source`.
+# ``plan_chunks`` needs a seekable file of known size; a live stream
+# (pipe, socket, growing file) has neither, so the feeder below carves
+# record-aligned chunks *as the bytes arrive* using the discipline's
+# ``cut`` and ships each batch to the pool without waiting for EOF.
+# Unlike seekable inputs a stream does NOT silently degrade to serial
+# when it cannot be chunked — a caller who asked for jobs on a stream
+# gets a :class:`PadsError` diagnostic instead (the CLI turns it into
+# exit 2).  The chooser keeps the serial path only where it is exact
+# policy: ``jobs <= 1``, an active tracer, or an already-open Source.
 
 #: Target bytes per shipped chunk.  Large enough to amortise pickling
 #: and per-chunk pool overhead, small enough that a batch of
@@ -727,129 +568,17 @@ def _batches(iterable, size: int) -> Iterator[list]:
         yield batch
 
 
-def parallel_records_stream(description, data, type_name: str, mask=None,
-                            *, jobs: Optional[int] = None,
-                            chunk_bytes: int = STREAM_CHUNK_BYTES
-                            ) -> Iterator[tuple]:
-    """Pipelined parallel twin of ``records_stream``: batches of ``jobs``
-    record-aligned chunks flow through :func:`_healing_map` as the stream
-    delivers them, yielding ``(rep, pd)`` pairs in input order."""
-    if isinstance(data, Source):
-        yield from description.records(data, type_name, mask)
-        return
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    cur = observe.CURRENT
-    if jobs <= 1 or (cur is not None and cur.tracer is not None):
-        from .stream import records_stream
-        yield from records_stream(description, data, type_name, mask)
-        return
-    spec = _spec_for(description)
-    _require_streamable(description, spec)
-    _seed(description, spec)
+def stream_batches(description, data, jobs: int,
+                   chunk_bytes: Optional[int] = None) -> Iterator[list]:
+    """Batches of ``jobs`` record-aligned ``("bytes", chunk, offset)``
+    windows carved from a live stream as it arrives."""
+    _require_streamable(description, _spec_for(description))
     stream, owns = _binary_stream(data)
-    base = 0
     try:
         for batch in _batches(
-                _stream_chunks(stream, description.discipline, chunk_bytes),
-                jobs):
-            tasks = [(spec, ("bytes", chunk, off), type_name, mask,
-                      cur is not None) for chunk, off in batch]
-            for chunk_out, registry in _healing_map(
-                    _map_records, tasks, jobs, timeout=_chunk_timeout(spec)):
-                if registry is not None and cur is not None:
-                    cur.metrics.merge(registry)
-                cache: dict = {}
-                for rep, pd in chunk_out:
-                    _rebase_pd(pd, base, cache)
-                    yield rep, pd
-                base += len(chunk_out)
+                _stream_chunks(stream, description.discipline,
+                               chunk_bytes or STREAM_CHUNK_BYTES), jobs):
+            yield [("bytes", chunk, off) for chunk, off in batch]
     finally:
         if owns:
             stream.close()
-
-
-def parallel_count_stream(description, data, *, jobs: Optional[int] = None,
-                          chunk_bytes: int = STREAM_CHUNK_BYTES) -> int:
-    """Pipelined parallel twin of ``count_records_stream``."""
-    if isinstance(data, Source):
-        return description.count_records(data)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    cur = observe.CURRENT
-    if jobs <= 1 or (cur is not None and cur.tracer is not None):
-        from .stream import count_records_stream
-        return count_records_stream(description, data)
-    spec = _spec_for(description)
-    _require_streamable(description, spec)
-    _seed(description, spec)
-    stream, owns = _binary_stream(data)
-    total = 0
-    try:
-        for batch in _batches(
-                _stream_chunks(stream, description.discipline, chunk_bytes),
-                jobs):
-            tasks = [(spec, ("bytes", chunk, off)) for chunk, off in batch]
-            total += sum(_healing_map(_map_count, tasks, jobs,
-                                      timeout=_chunk_timeout(spec)))
-    finally:
-        if owns:
-            stream.close()
-    return total
-
-
-def parallel_accumulate_stream(description, data, record_type: str,
-                               mask=None, *, jobs: Optional[int] = None,
-                               tracked: int = DEFAULT_TRACKED,
-                               summaries: bool = False,
-                               chunk_bytes: int = STREAM_CHUNK_BYTES):
-    """Pipelined parallel twin of ``accumulate_stream``: returns
-    ``(acc, tally)`` where ``tally.records`` is the record count.
-    Streams have no random access, so header types (which need a serial
-    prefix parse plus seekable chunk planning) are not supported here."""
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    cur = observe.CURRENT
-    if isinstance(data, Source):
-        acc = Accumulator(description.node(record_type), "<top>", tracked)
-        if summaries:
-            from .tools.summaries import attach_summaries
-            attach_summaries(acc)
-        tally = ErrorTally()
-        for rep, pd in description.records(data, record_type, mask):
-            acc.add(rep, pd)
-            tally.add(pd)
-        return acc, tally
-    if jobs <= 1 or (cur is not None and cur.tracer is not None):
-        from .stream import accumulate_stream
-        return accumulate_stream(description, data, record_type, mask,
-                                 tracked=tracked, summaries=summaries)
-    spec = _spec_for(description)
-    _require_streamable(description, spec)
-    _seed(description, spec)
-    acc = Accumulator(description.node(record_type), "<top>", tracked)
-    if summaries:
-        from .tools.summaries import attach_summaries
-        attach_summaries(acc)
-    tally = ErrorTally()
-    stream, owns = _binary_stream(data)
-    base = 0
-    try:
-        for batch in _batches(
-                _stream_chunks(stream, description.discipline, chunk_bytes),
-                jobs):
-            tasks = [(spec, ("bytes", chunk, off), record_type, mask,
-                      tracked, summaries, cur is not None)
-                     for chunk, off in batch]
-            for part_acc, part_tally, registry in _healing_map(
-                    _map_accum, tasks, jobs, timeout=_chunk_timeout(spec)):
-                if registry is not None and cur is not None:
-                    cur.metrics.merge(registry)
-                acc.merge(part_acc)
-                _rebase_tally(part_tally, base)
-                base += part_tally.records
-                tally.merge(part_tally)
-    finally:
-        if owns:
-            stream.close()
-    return acc, tally

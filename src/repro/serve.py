@@ -55,11 +55,11 @@ from __future__ import annotations
 import asyncio
 import base64
 import binascii
-import copy
 import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, Optional, Tuple
@@ -67,10 +67,11 @@ from typing import Dict, Optional, Tuple
 from . import observe
 from .core.api import DescriptionCache
 from .core.errors import DescriptionError, ErrorTally, PadsError, Pstate
-from .core.io import Source, discipline_from_spec, transparent_encode
+from .core.io import discipline_from_spec, transparent_encode
 from .core.limits import ParseLimits
 from .observe import MetricsRegistry, SIZE_BUCKETS, to_prometheus
-from .tools.accum import DEFAULT_REPORTED, DEFAULT_TRACKED, Accumulator
+from .run import Run, execute, fold, new_accumulator
+from .tools.accum import DEFAULT_REPORTED, DEFAULT_TRACKED
 from .tools.fmt import format_value
 
 __all__ = ["ServeConfig", "ParseServer", "ServerThread", "run_server",
@@ -273,8 +274,32 @@ class ParseServer:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:
+            # asyncio's LimitOverrunError surfaces here: a line past the
+            # stream buffer limit (64 KiB) is a refused request.
+            raise HttpError(400, "BAD_REQUEST",
+                            "request line or header over 64 KiB")
+
+    def _body_length(self, value: str) -> int:
+        """A ``Content-Length`` value: decimal digits only (no sign), at
+        most ``max_body``.  Checked before ``int()`` so an absurdly long
+        digit string never reaches the int-conversion limit."""
+        if not (value.isascii() and value.isdigit()):
+            raise HttpError(400, "BAD_REQUEST",
+                            f"malformed Content-Length {value[:32]!r}")
+        limit = self.config.max_body
+        digits = value.lstrip("0") or "0"
+        if len(digits) > len(str(limit)) or int(digits) > limit:
+            raise HttpError(413, "REQUEST_TOO_LARGE",
+                            f"request body over {limit} bytes")
+        return int(digits)
+
     async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
+        line = await self._read_line(reader)
         if not line:
             return None
         try:
@@ -283,7 +308,7 @@ class ParseServer:
             raise HttpError(400, "BAD_REQUEST", "malformed request line")
         headers: Dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await self._read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _sep, value = raw.decode("latin-1").partition(":")
@@ -291,10 +316,7 @@ class ParseServer:
         if headers.get("transfer-encoding"):
             raise HttpError(400, "BAD_REQUEST",
                             "chunked request bodies are not supported")
-        length = int(headers.get("content-length", "0") or "0")
-        if length > self.config.max_body:
-            raise HttpError(413, "REQUEST_TOO_LARGE",
-                            f"request body over {self.config.max_body} bytes")
+        length = self._body_length(headers.get("content-length", "0") or "0")
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body
 
@@ -525,23 +547,22 @@ class ParseServer:
         # The latin-1 convention: JSON code points < 256 are the bytes.
         return transparent_encode(data)
 
-    def _open(self, desc, data: bytes, limits: Optional[ParseLimits]):
-        """A fresh per-request Source with the *tenant's* budget (the
-        cached description itself stays limits-free)."""
-        return Source.from_bytes(data, desc.discipline, limits=limits)
-
-    def _with_limits(self, desc, limits: Optional[ParseLimits]):
-        """A shallow twin of a cached description carrying the tenant
-        budget, for engines that read ``description.limits``."""
-        if limits is None:
-            return desc
-        twin = copy.copy(desc)
-        twin.limits = limits
-        return twin
-
-    def _use_parallel(self, data: bytes) -> bool:
-        return (self.config.jobs > 1
-                and len(data) >= self.config.parallel_threshold)
+    @contextmanager
+    def _fan_out(self, data: bytes, registry):
+        """The worker processes a run may use: ``config.jobs`` for a
+        large accum/count payload while the parallel pool is free, else
+        1 (concurrent large requests stay in-process instead of
+        queueing behind the pool)."""
+        if (self.config.jobs > 1
+                and len(data) >= self.config.parallel_threshold
+                and self._parallel_gate.acquire(blocking=False)):
+            try:
+                registry.counter("serve.parallel_runs").inc()
+                yield self.config.jobs
+            finally:
+                self._parallel_gate.release()
+        else:
+            yield 1
 
     @staticmethod
     def _check_limit(pd, tally: ErrorTally) -> None:
@@ -554,6 +575,14 @@ class ParseServer:
                     code = err.name
                     break
         raise LimitExceeded(code or "LIMIT_EXCEEDED", tally.records)
+
+    @classmethod
+    def _until_limit(cls, pairs, tally: ErrorTally):
+        """Pass ``pairs`` through, aborting with :class:`LimitExceeded`
+        once the consumer has tallied a record that hit a budget."""
+        for rep, pd in pairs:
+            yield rep, pd
+            cls._check_limit(pd, tally)
 
     @staticmethod
     def _tally_limit(tally: ErrorTally) -> None:
@@ -580,16 +609,9 @@ class ParseServer:
     # -- the three modes ---------------------------------------------------
 
     def _run_count(self, desc, data: bytes, limits, registry):
-        if self._use_parallel(data) and self._parallel_gate.acquire(
-                blocking=False):
-            try:
-                registry.counter("serve.parallel_runs").inc()
-                n = self._with_limits(desc, limits).count_records_parallel(
-                    data, jobs=self.config.jobs)
-            finally:
-                self._parallel_gate.release()
-        else:
-            n = desc.count_records(self._open(desc, data, limits))
+        with self._fan_out(data, registry) as jobs:
+            n = execute(desc, Run("count", data, jobs=jobs,
+                                  limits=limits)).count
         registry.counter("records.total").inc(n)
         return {"count": n}, f"{n}\n"
 
@@ -597,24 +619,21 @@ class ParseServer:
                    limits, registry):
         tracked = _count_param(payload, "tracked", DEFAULT_TRACKED)
         top = _count_param(payload, "top", DEFAULT_REPORTED)
-        tally = ErrorTally()
-        if self._use_parallel(data) and self._parallel_gate.acquire(
-                blocking=False):
-            try:
-                registry.counter("serve.parallel_runs").inc()
-                acc, _header, tally = self._with_limits(
-                    desc, limits).accumulate_parallel(
-                    data, type_name, jobs=self.config.jobs, tracked=tracked)
-            finally:
-                self._parallel_gate.release()
-            self._tally_limit(tally)
-        else:
-            acc = Accumulator(desc.node(type_name), "<top>", tracked)
-            src = self._open(desc, data, limits)
-            for rep, pd in desc.records(src, type_name):
-                acc.add(rep, pd)
-                tally.add(pd)
-                self._check_limit(pd, tally)
+        with self._fan_out(data, registry) as jobs:
+            if jobs > 1:
+                result = execute(desc, Run("accum", data, type_name,
+                                           tracked=tracked, jobs=jobs,
+                                           limits=limits))
+                acc, tally = result.acc, result.tally
+                self._tally_limit(tally)
+            else:
+                # In-process runs stop at the first record over budget,
+                # so ``records_parsed`` counts the records actually spent.
+                acc = new_accumulator(desc, type_name, tracked, False)
+                tally = ErrorTally()
+                records = execute(desc, Run("records", data, type_name,
+                                            limits=limits)).records
+                fold(self._until_limit(records, tally), acc, tally)
         report = acc.full_report(top)
         stats = self._fold_tally(tally, registry)
         return {"report": report, "count": tally.records,
@@ -629,10 +648,10 @@ class ParseServer:
         tally = ErrorTally()
         lines = []
         truncated = False
-        src = self._open(desc, data, limits)
-        for rep, pd in desc.records(src, type_name):
+        records = execute(desc, Run("records", data, type_name,
+                                    limits=limits)).records
+        for rep, pd in self._until_limit(records, tally):
             tally.add(pd)
-            self._check_limit(pd, tally)
             if len(lines) < max_records:
                 lines.append(format_value(node, rep, delims=delims))
             else:

@@ -7,23 +7,22 @@ door: it parses from **pipes, sockets and growing files** through a
 sliding window (:class:`repro.core.io.StreamSource`), keeping O(window)
 bytes resident regardless of input size, and — for chunkable record
 disciplines — can pipeline a live stream into the parallel engine
-without waiting for EOF (:func:`repro.parallel.parallel_records_stream`).
+without waiting for EOF (:func:`repro.parallel.stream_batches`).
 
-Entry points (also exposed as ``records_stream`` / ``accumulate_stream``
-methods on both compiled-description engines)::
+Streaming is the input layer of :func:`repro.run.execute`: any
+stream, or a file with ``follow``, is read through the window::
 
     import sys
-    from repro import compile_description
-    from repro.stream import records_stream
+    from repro import Run, compile_description, execute
 
     clf = compile_description(CLF)
-    for rep, pd in records_stream(clf, sys.stdin.buffer, "entry_t"):
+    run = Run("records", sys.stdin.buffer, "entry_t")
+    for rep, pd in execute(clf, run).records:
         ...                       # one record resident at a time
 
     # tail -f a growing log, giving up after 5 idle seconds
-    for rep, pd in clf.records_stream("/var/log/access.log", "entry_t",
-                                      follow=True, idle_timeout=5.0):
-        ...
+    run = Run("records", pathlib.Path("/var/log/access.log"), "entry_t",
+              follow=5.0)
 
 Memory model, window sizing and the follow discipline are documented in
 ``docs/STREAMING.md``; the ``stream.*`` observability counters in
@@ -33,29 +32,18 @@ Memory model, window sizing and the follow discipline are documented in
 from __future__ import annotations
 
 import os
-import pathlib as _pathlib
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
-from .core.errors import ErrorTally, PadsError, Pd
-from .core.io import (
-    DEFAULT_STREAM_WINDOW,
-    RecordDiscipline,
-    Source,
-    StreamSource,
-)
+from .core.errors import PadsError
+from .core.io import DEFAULT_STREAM_WINDOW, RecordDiscipline, StreamSource
 from .core.limits import ParseLimits
-from .tools.accum import DEFAULT_TRACKED, Accumulator
 
-__all__ = [
-    "DEFAULT_STREAM_WINDOW", "StreamSource", "open_stream",
-    "records_stream", "accumulate_stream", "count_records_stream",
-]
+__all__ = ["DEFAULT_STREAM_WINDOW", "StreamSource", "open_stream"]
 
 
 def open_stream(data, discipline: Optional[RecordDiscipline] = None, *,
                 window: Optional[int] = None,
                 follow: bool = False,
-                poll_interval: float = 0.05,
                 idle_timeout: Optional[float] = None,
                 limits: Optional[ParseLimits] = None) -> StreamSource:
     """Build a :class:`StreamSource` from whatever the caller has.
@@ -69,8 +57,7 @@ def open_stream(data, discipline: Optional[RecordDiscipline] = None, *,
     if isinstance(data, StreamSource):
         return data
     kwargs = dict(window=window if window is not None else DEFAULT_STREAM_WINDOW,
-                  follow=follow, poll_interval=poll_interval,
-                  idle_timeout=idle_timeout, limits=limits)
+                  follow=follow, idle_timeout=idle_timeout, limits=limits)
     if isinstance(data, (str, os.PathLike)):
         return StreamSource(open(os.fspath(data), "rb"), discipline,
                             owns_stream=True, **kwargs)
@@ -84,148 +71,3 @@ def open_stream(data, discipline: Optional[RecordDiscipline] = None, *,
         return StreamSource(data, discipline, **kwargs)
     raise PadsError(f"cannot stream from {type(data).__name__!r}: need a "
                     "path, fd, socket, or a readable binary object")
-
-
-def _index_sink_for(data, follow: bool, index):
-    """The ``(IndexBuilder, path)`` a streaming pass should feed as a
-    side effect, or ``(None, None)``.
-
-    Only real, seekable files get an index (pipes/sockets/fds have no
-    stable offsets to bind to) and only complete passes (``follow``
-    tails never see EOF, so they could never seal a footer).  ``index``
-    is False, True (default sampling interval) or an int interval.
-    """
-    if not index or follow:
-        return None, None
-    if not isinstance(data, (str, os.PathLike)) \
-            or not os.path.isfile(os.fspath(data)):
-        return None, None
-    from .durable import DEFAULT_INDEX_INTERVAL, IndexBuilder
-    interval = index if isinstance(index, int) and not isinstance(index, bool) \
-        else DEFAULT_INDEX_INTERVAL
-    return IndexBuilder(interval), os.fspath(data)
-
-
-def _publish_index(builder, path: str, discipline) -> None:
-    from .durable import write_index
-    write_index(path, builder, discipline)
-
-
-def records_stream(description, data, type_name: str, mask=None, *,
-                   window: Optional[int] = None,
-                   follow: bool = False,
-                   poll_interval: float = 0.05,
-                   idle_timeout: Optional[float] = None,
-                   index=False,
-                   ) -> Iterator[Tuple[object, Pd]]:
-    """Bounded-memory twin of ``description.records``.
-
-    Yields ``(rep, pd)`` pairs exactly as the slurped path would (the
-    differential sweep in ``tests/test_stream.py`` pins them
-    byte-identical), but reads through a sliding window, so a feed of
-    any size — or an endless one under ``follow=True`` — parses in
-    O(window) memory.  The source is closed when the iterator is
-    exhausted or dropped.
-
-    Batch-eligible descriptions (:mod:`repro.batch`) hand the feed to
-    the grid driver instead, record-aligned chunk by chunk — still
-    bounded memory, but without the sliding-window bookkeeping (so the
-    ``stream.*`` metrics stay at zero on that path).  ``follow=True``
-    and already-open :class:`StreamSource` inputs always take the
-    cursor path.
-    """
-    builder, index_path = _index_sink_for(data, follow, index)
-    if (builder is None and not follow and not isinstance(data, StreamSource)
-            and not isinstance(data, (bytes, bytearray))):
-        from .batch import (
-            BATCH_BYTES, _runtime_gate, batch_verdict, records_batch)
-        if (batch_verdict(description, type_name).eligible
-                and _runtime_gate(description, mask) is None):
-            # A str names a *path* here (open_stream semantics), while
-            # the batch feeder would read it as literal data.
-            feed = _pathlib.Path(data) if isinstance(data, str) else data
-            chunk = (max(1, min(window, BATCH_BYTES)) if window
-                     else BATCH_BYTES)
-            yield from records_batch(description, feed, type_name, mask,
-                                     chunk_bytes=chunk)
-            return
-    src = open_stream(data, description.discipline, window=window,
-                      follow=follow, poll_interval=poll_interval,
-                      idle_timeout=idle_timeout,
-                      limits=getattr(description, "limits", None))
-    if builder is not None:
-        src.index_sink = builder
-    try:
-        yield from description.records(src, type_name, mask)
-        # Reaching here means a clean EOF: every boundary was seen, so
-        # the index can be sealed.  An abandoned iterator publishes
-        # nothing (a partial footer would under-report the file).
-        if builder is not None:
-            _publish_index(builder, index_path, description.discipline)
-    finally:
-        src.close()
-
-
-def accumulate_stream(description, data, record_type: str, mask=None, *,
-                      tracked: int = DEFAULT_TRACKED,
-                      summaries: bool = False,
-                      window: Optional[int] = None,
-                      follow: bool = False,
-                      poll_interval: float = 0.05,
-                      idle_timeout: Optional[float] = None,
-                      index=False,
-                      ) -> Tuple[Accumulator, ErrorTally]:
-    """Bounded-memory accumulation: fold every record of a stream into
-    an :class:`~repro.tools.accum.Accumulator` and an
-    :class:`~repro.core.errors.ErrorTally` (``tally.records`` is the
-    record count).  The accumulator is O(tracked values), the parse is
-    O(window): profiling a feed never needs the feed in memory."""
-    acc = Accumulator(description.node(record_type), "<top>", tracked)
-    if summaries:
-        from .tools.summaries import attach_summaries
-        attach_summaries(acc)
-    tally = ErrorTally()
-    for rep, pd in records_stream(description, data, record_type, mask,
-                                  window=window, follow=follow,
-                                  poll_interval=poll_interval,
-                                  idle_timeout=idle_timeout, index=index):
-        acc.add(rep, pd)
-        tally.add(pd)
-    return acc, tally
-
-
-def count_records_stream(description, data, *,
-                         window: Optional[int] = None,
-                         follow: bool = False,
-                         poll_interval: float = 0.05,
-                         idle_timeout: Optional[float] = None,
-                         index=False) -> int:
-    """Bounded-memory record count (record discipline only, no field
-    parsing) — the paper's record-counting floor over a live stream.
-    Constant-pitch disciplines count by arithmetic over record-aligned
-    chunks (:func:`repro.batch.count_records_batch`) when the feed is
-    finite."""
-    builder, index_path = _index_sink_for(data, follow, index)
-    if (builder is None and not follow and not isinstance(data, StreamSource)
-            and not isinstance(data, (bytes, bytearray))
-            and getattr(description, "limits", None) is None):
-        from .batch import count_records_batch
-        from .core.io import FixedWidthRecords, NewlineRecords
-        if isinstance(description.discipline,
-                      (FixedWidthRecords, NewlineRecords)):
-            feed = _pathlib.Path(data) if isinstance(data, str) else data
-            return count_records_batch(description, feed)
-    src = open_stream(data, description.discipline, window=window,
-                      follow=follow, poll_interval=poll_interval,
-                      idle_timeout=idle_timeout,
-                      limits=getattr(description, "limits", None))
-    if builder is not None:
-        src.index_sink = builder
-    count = 0
-    with src:
-        while src.begin_record():
-            src.end_record()
-            count += 1
-    if builder is not None:
-        _publish_index(builder, index_path, description.discipline)
-    return count

@@ -494,23 +494,10 @@ class Accumulator:
 def accumulate_records(description, data, record_type: str,
                        mask=None, tracked: int = DEFAULT_TRACKED,
                        header_type: Optional[str] = None):
-    """Build an accumulator program from minimal extra information.
-
-    The paper (Section 5.2): "given only the names of the optional header
-    type and the record type, the PADS system will generate an accumulator
-    program."  Returns ``(record_accumulator, header_accumulator_or_None,
-    n_records)``.
-    """
-    src = description.open(data)
-    header_acc = None
-    if header_type is not None:
-        header_acc = Accumulator(description.node(header_type), "<header>",
-                                 tracked)
-        rep, pd = description.parse(src, header_type, mask)
-        header_acc.add(rep, pd)
-    acc = Accumulator(description.node(record_type), "<top>", tracked)
-    count = 0
-    for rep, pd in description.records(src, record_type, mask):
-        acc.add(rep, pd)
-        count += 1
-    return acc, header_acc, count
+    """The paper's generated accumulator program (Section 5.2): "given
+    only the names of the optional header type and the record type" —
+    ``(record_accumulator, header_accumulator_or_None, n_records)``."""
+    from ..run import Run, execute
+    r = execute(description, Run("accum", data, record_type, mask,
+                                 header_type=header_type, tracked=tracked))
+    return r.acc, r.header_acc, r.tally.records

@@ -124,34 +124,19 @@ def format_value(node: PType, rep, *, delims: Sequence[str] = ("|",),
     return spec.delim(0).join(_pieces(node, rep, spec, spec.mask, 0))
 
 
-def format_records(description, data, record_type: str, *,
+def format_records(description, pairs, record_type: str, *,
                    delims: Sequence[str] = ("|",),
                    date_format: Optional[str] = None,
                    mask: Optional[Mask] = None,
                    none_text: str = "",
                    custom: Optional[Dict[str, Formatter]] = None,
-                   skip_errors: bool = False,
-                   jobs: int = 1,
-                   pairs=None):
+                   skip_errors: bool = False):
     """The generated formatting *program* (paper: given just the record
-    type and a delimiter string).  Yields one formatted line per record.
-
-    ``jobs > 1`` parses records through the parallel engine (order
-    preserved); formatting itself stays in the caller's process.  An
-    already-parsed ``(rep, pd)`` iterable may be supplied as ``pairs``
-    (the streaming entry points produce one), in which case ``data`` and
-    ``jobs`` are ignored.
-    """
+    type and a delimiter string).  Yields one formatted line per
+    ``(rep, pd)`` pair — ``description.records(...)`` or the records of
+    any :func:`repro.run.execute` run."""
     node = description.node(record_type)
-    if pairs is not None:
-        stream = pairs
-    elif jobs and jobs > 1:
-        from ..parallel import parallel_records
-        stream = parallel_records(description, data, record_type, mask,
-                                  jobs=jobs)
-    else:
-        stream = description.records(data, record_type, mask)
-    for rep, pd in stream:
+    for rep, pd in pairs:
         if skip_errors and pd.nerr:
             continue
         yield format_value(node, rep, delims=delims, date_format=date_format,

@@ -148,24 +148,14 @@ def _default_tag(node: PType) -> str:
     return name or "value"
 
 
-def xml_records(description, data, record_type: str, mask=None,
-                root: str = "source", jobs: int = 1, pairs=None):
-    """Convert a whole source to XML, one element per record (the
-    generated conversion program of Section 5.3.2).  ``jobs > 1`` parses
-    through the parallel engine, order preserved.  An already-parsed
-    ``(rep, pd)`` iterable may be supplied as ``pairs`` (the streaming
-    entry points produce one), in which case ``data``/``jobs`` are
-    ignored."""
+def xml_records(description, pairs, record_type: str,
+                root: str = "source"):
+    """Convert a whole source to XML, one element per ``(rep, pd)`` pair
+    (the generated conversion program of Section 5.3.2); ``pairs`` is
+    ``description.records(...)`` or the records of any
+    :func:`repro.run.execute` run."""
     yield f"<{root}>"
     node = description.node(record_type)
-    if pairs is not None:
-        stream = pairs
-    elif jobs and jobs > 1:
-        from ..parallel import parallel_records
-        stream = parallel_records(description, data, record_type, mask,
-                                  jobs=jobs)
-    else:
-        stream = description.records(data, record_type, mask)
-    for rep, pd in stream:
+    for rep, pd in pairs:
         yield to_xml(node, rep, pd, record_type, indent=1)
     yield f"</{root}>"

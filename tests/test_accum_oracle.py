@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from repro import parallel
+from repro import Run, execute, parallel
 from repro.codegen import compile_generated
 from repro.core.api import compile_description
 from repro.core.errors import ErrCode, Loc, Pd
@@ -402,18 +402,17 @@ class TestMatchesTreeWalker:
         interp, gen, data, rtype = corpus[name]
         for desc in (interp, gen):
             for tracked in TRACKED:
-                acc, _ = desc.accumulate_batch(data, rtype, tracked=tracked,
-                                               summaries=summaries)
+                acc = execute(desc, Run("accum", data, rtype, tracked=tracked,
+                                        summaries=summaries)).acc
                 ref = fed(desc.node(rtype), desc.records_batch(data, rtype),
                           tracked, summaries, RefAccumulator)
                 assert_same(acc, ref, max_distinct(ref))
-                acc, _ = desc.accumulate_stream(io.BytesIO(data), rtype,
-                                                tracked=tracked,
-                                                summaries=summaries,
-                                                window=1 << 12)
+                acc = execute(desc, Run("accum", io.BytesIO(data), rtype,
+                                        tracked=tracked, summaries=summaries,
+                                        window=1 << 12)).acc
                 ref = fed(desc.node(rtype),
-                          desc.records_stream(io.BytesIO(data), rtype,
-                                              window=1 << 12),
+                          execute(desc, Run("records", io.BytesIO(data), rtype,
+                                            window=1 << 12)).records,
                           tracked, summaries, RefAccumulator)
                 assert_same(acc, ref, max_distinct(ref))
 
@@ -421,9 +420,9 @@ class TestMatchesTreeWalker:
         interp, gen, data, rtype = corpus[name]
         for desc in (interp, gen):
             for tracked in TRACKED:
-                acc, _hdr, _tally = desc.accumulate_parallel(
-                    data, rtype, jobs=JOBS, tracked=tracked,
-                    summaries=summaries)
+                acc = execute(desc, Run("accum", data, rtype, jobs=JOBS,
+                                        tracked=tracked,
+                                        summaries=summaries)).acc
                 ref, split = _parallel_reference(desc, data, rtype, tracked,
                                                  summaries)
                 assert_same(acc, ref, max_distinct(ref))

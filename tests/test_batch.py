@@ -15,7 +15,7 @@ per-record wherever the grid assumption breaks.  This suite pins:
   inputs, through both the interpreted and generated engines;
 * the newline-pitch grid: CRLF terminators, ragged lines, unterminated
   tails;
-* the strict (``--engine batch``) contract and the counting floor;
+* the ``engine="batch"`` contract and the counting floor;
 * the worker-window helpers ``repro.parallel`` delegates to;
 * a hypothesis sweep hammering random corruption, when available.
 """
@@ -24,15 +24,8 @@ import random
 
 import pytest
 
-from repro import compile_description, gallery, observe
-from repro.batch import (
-    accumulate_batch,
-    batch_verdict,
-    count_records_batch,
-    records_batch,
-    window_count,
-    window_records,
-)
+from repro import Run, compile_description, execute, gallery, observe
+from repro.batch import batch_verdict, window_count, window_records
 from repro.codegen import compile_generated
 from repro.core.errors import ErrorTally, PadsError
 from repro.core.io import FixedWidthRecords, NewlineRecords
@@ -252,8 +245,8 @@ class TestDifferential:
         disturb absolute locations or record indices."""
         import io
         data = dirty_data(400)
-        got = list(records_batch(cd, io.BytesIO(data), "call_t",
-                                 chunk_bytes=7 * WIDTH))
+        got = list(execute(cd, Run("records", io.BytesIO(data), "call_t",
+                                   window=7 * WIDTH)).records)
         _assert_same_stream(got, cd.records(data, "call_t"))
 
     def test_deterministic_stats_match(self, cd):
@@ -281,7 +274,9 @@ class TestDifferential:
 
     def test_accumulate_batch(self, cd):
         data = dirty_data(600)
-        acc_b, tally_b = cd.accumulate_batch(data, "call_t")
+        r = execute(cd, Run("accum", data, "call_t"))
+        assert r.engine == "batch"
+        acc_b, tally_b = r.acc, r.tally
         from repro.tools.accum import Accumulator
         acc_s = Accumulator(cd.node("call_t"), "<top>", 1000)
         tally_s = ErrorTally()
@@ -355,12 +350,13 @@ class TestNewlineGrid:
 class TestStrictAndCount:
     def test_strict_raises_at_call_time(self, clf):
         with pytest.raises(PadsError, match="batch engine"):
-            records_batch(clf, b"x\n", "entry_t", strict=True)
+            execute(clf, Run("records", b"x\n", "entry_t", engine="batch"))
 
     def test_silent_fallback_matches_serial(self, clf, rng):
         reps = [clf.generate("entry_t", rng) for _ in range(10)]
         data = b"".join(clf.write(r, "entry_t") + b"\n" for r in reps)
-        _assert_same_stream(records_batch(clf, data, "entry_t"),
+        _assert_same_stream(execute(clf, Run("records", data,
+                                             "entry_t")).records,
                             clf.records(data, "entry_t"))
 
     def test_open_source_keeps_cursor_path(self, cd):
@@ -370,7 +366,7 @@ class TestStrictAndCount:
             from repro.core.io import Source
             src = Source(data, discipline=cd.discipline)
         with pytest.raises(PadsError, match="cannot feed"):
-            records_batch(cd, src, "call_t", strict=True)
+            execute(cd, Run("records", src, "call_t", engine="batch"))
 
     def test_count_parity_fixed_width(self, cd, tmp_path):
         data = clean_data(700)
@@ -393,7 +389,7 @@ class TestStrictAndCount:
             limits=ParseLimits(max_record_bytes=1 << 16))
         assert d.count_records_batch(clean_data(10)) == 10
         with pytest.raises(PadsError, match="limits"):
-            count_records_batch(limited, clean_data(10), strict=True)
+            execute(limited, Run("count", clean_data(10), engine="batch"))
 
 
 # ---------------------------------------------------------------------------
@@ -446,37 +442,38 @@ class TestWindows:
 
 class TestEngineIntegration:
     def test_parallel_matches_batch_and_serial(self, call_detail, tmp_path):
-        from repro.parallel import parallel_count, parallel_records
         data = dirty_data(2000)
         want = _fingerprint(call_detail.records(data, "call_t"))
-        assert _fingerprint(
-            parallel_records(call_detail, data, "call_t", jobs=2)) == want
+        assert _fingerprint(execute(call_detail, Run(
+            "records", data, "call_t", jobs=2)).records) == want
         path = tmp_path / "cd.dat"
         path.write_bytes(data)
-        assert _fingerprint(
-            parallel_records(call_detail, path, "call_t", jobs=2)) == want
-        assert parallel_count(call_detail, path, jobs=2) == 2000
+        assert _fingerprint(execute(call_detail, Run(
+            "records", path, "call_t", jobs=2)).records) == want
+        assert execute(call_detail, Run("count", path, jobs=2)).count == 2000
 
     def test_stream_hands_off_to_batch(self, call_detail, tmp_path):
         data = dirty_data(1500)
         path = tmp_path / "cd.dat"
         path.write_bytes(data)
         with observe.observed() as obs:
-            got = list(call_detail.records_stream(str(path), "call_t"))
+            r = execute(call_detail, Run("records", path, "call_t"))
+            got = list(r.records)
+        assert r.engine == "batch"
         _assert_same_stream(got, call_detail.records(data, "call_t"))
         s = obs.stats(deterministic=True)
         # The grid driver replaced the sliding window entirely.
         assert s["batch"]["batches"] > 0
         assert s["stream"]["refills"] == 0
-        assert call_detail.count_records_stream(str(path)) == 1500
+        assert execute(call_detail, Run("count", path)).count == 1500
 
     def test_follow_keeps_the_cursor_path(self, call_detail, tmp_path):
         data = clean_data(40)
         path = tmp_path / "cd.dat"
         path.write_bytes(data)
         with observe.observed() as obs:
-            got = list(call_detail.records_stream(
-                str(path), "call_t", follow=True, idle_timeout=0.1))
+            got = list(execute(call_detail, Run(
+                "records", path, "call_t", follow=0.1)).records)
         assert len(got) == 40
         assert obs.stats(deterministic=True)["batch"]["batches"] == 0
 

@@ -380,6 +380,22 @@ class TestFlagConflictMatrix:
         assert len(diag) == 1 and diag[0].startswith("padsc: ")
         assert needle in diag[0]
 
+    @pytest.mark.parametrize("command", ["accum", "fmt", "xml"])
+    @pytest.mark.parametrize("extra,needle", CASES,
+                             ids=[" ".join(c[0]) for c in CASES])
+    def test_invalid_combo_exits_2_on_every_subcommand(
+            self, clf_file, clf_data, capsys, command, extra, needle):
+        # One chooser serves every subcommand, so the matrix above (run
+        # on count) must hold for the record-level subcommands too.
+        rc = main([command, clf_file, clf_data, "--record", "entry_t"]
+                  + extra)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "Traceback" not in captured.err
+        assert needle in captured.err
+        diag = [ln for ln in captured.err.splitlines() if ln.strip()]
+        assert len(diag) == 1 and diag[0].startswith("padsc: ")
+
     def test_checkpoint_on_stdin_is_an_error(self, clf_file, capsys,
                                              monkeypatch):
         import io
@@ -411,3 +427,94 @@ class TestFlagConflictMatrix:
         assert rc == 2
         assert "Traceback" not in captured.err
         assert needle in captured.err
+
+
+HDR_DESC = """\
+Precord Pstruct hdr_t { "HH"; Pchar c; };
+Precord Pstruct row_t { Pchar a; '|'; Pchar b; };
+"""
+
+
+class TestAccumHeader:
+    """``accum --header``: the header is parsed once, reported, and never
+    counted as a record, on every engine the chooser may pick."""
+
+    @pytest.fixture
+    def sirius_orders(self, tmp_path):
+        import random
+        from repro.tools.datagen import sirius_workload
+        path = tmp_path / "orders.dat"
+        path.write_bytes(sirius_workload(50, random.Random(1)))
+        return str(path)
+
+    def test_summaries_keep_the_header(self, sirius_file, sirius_orders,
+                                       capsys):
+        argv = ["accum", sirius_file, sirius_orders, "--record", "entry_t",
+                "--header", "summary_header_t"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(argv + ["--summaries"]) == 0
+        summed = capsys.readouterr()
+        for out in (plain, summed):
+            assert "<header>" in out.out
+            assert out.err.strip().endswith("50 records")
+        # --summaries adds histograms; the header report is unchanged.
+        header = plain.out.split("\n\n<top>", 1)[0]
+        assert summed.out.startswith(header)
+
+    def test_auto_engine_runs_a_header_on_the_cursor(self, tmp_path,
+                                                      capsys):
+        import json
+        desc = tmp_path / "hdr.pads"
+        desc.write_text(HDR_DESC)
+        data = tmp_path / "hdr.dat"
+        data.write_bytes(b"HHx\n1|2\n3|4\n")
+        argv = ["accum", str(desc), str(data), "--record", "row_t",
+                "--header", "hdr_t"]
+        assert main(argv + ["--stats=json"]) == 0
+        captured = capsys.readouterr()
+        assert "<header>" in captured.out
+        assert "2 records" in captured.err
+        doc = json.loads(captured.err[captured.err.index("{"):])
+        assert doc["engine"] == "cursor"
+        # Forcing the grid kernels on a header run stays a diagnostic.
+        assert main(argv + ["--engine", "batch"]) == 2
+        err = capsys.readouterr().err
+        assert "--header needs a serial prefix parse" in err
+
+
+class TestEngineReport:
+    """``RunResult.engine`` is exactly the ``engine`` that
+    ``--stats=json`` reports, on every engine path."""
+
+    @pytest.fixture
+    def big_log(self, tmp_path):
+        import random
+        from repro.tools.datagen import clf_workload
+        path = tmp_path / "big.log"
+        path.write_bytes(clf_workload(2500, random.Random(3)))
+        return str(path)
+
+    @pytest.mark.parametrize("engine,flags,fields", [
+        ("batch", [], {}),
+        ("cursor", ["--engine", "cursor"], {"engine": "cursor"}),
+        ("parallel", ["-j", "2"], {"jobs": 2}),
+        ("durable", ["--checkpoint"], {"checkpoint": True, "index": True}),
+    ])
+    def test_stats_engine_is_the_run_result_engine(
+            self, clf_file, big_log, capsys, engine, flags, fields):
+        import json
+        import pathlib
+        from repro import Run, compile_description, execute, parallel
+        try:
+            assert main(["count", clf_file, big_log, "--stats=json"]
+                        + flags) == 0
+            captured = capsys.readouterr()
+            reported = json.loads(captured.err)["engine"]
+            d = compile_description(gallery.CLF)
+            result = execute(d, Run("count", pathlib.Path(big_log),
+                                    **fields))
+            assert result.engine == reported == engine
+            assert result.count == int(captured.out)
+        finally:
+            parallel.shutdown()

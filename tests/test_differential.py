@@ -1,7 +1,7 @@
 """Differential sweep hardening the observability layer.
 
 Every gallery description runs through the interpreter and the generated
-engine, serially and through ``records_parallel``, with observability off
+engine, serially and through ``execute`` with ``jobs``, with observability off
 and on.  All four paths must produce identical values, parse-descriptor
 summaries and accumulator reports — enabling observation never changes
 parse results, and both engines report the same (deterministic subset of)
@@ -19,7 +19,9 @@ import random
 
 import pytest
 
-from repro import Mask, P_Check, P_CheckAndSet, P_Set, gallery, observe
+from repro import (
+    Mask, P_Check, P_CheckAndSet, P_Set, Run, execute, gallery, observe,
+)
 from repro.codegen import compile_generated
 from repro.core.api import compile_description
 from repro.core.io import FixedWidthRecords
@@ -87,8 +89,8 @@ def run_records(description, data, record_type, *, parallel=False,
     """One sweep configuration: returns (reps, pd summaries, stats)."""
     def consume():
         if parallel:
-            out = list(description.records_parallel(data, record_type,
-                                                    jobs=JOBS))
+            out = list(execute(description, Run("records", data, record_type,
+                                                 jobs=JOBS)).records)
         else:
             out = list(description.records(data, record_type))
         return [r for r, _ in out], [pd_summary(p) for _, p in out]
@@ -137,7 +139,7 @@ class TestEnginesAgree:
 
 @pytest.mark.parametrize("name", list(CASES))
 class TestSerialParallelAgree:
-    """records vs records_parallel (falls back serially when the record
+    """records vs a ``jobs`` run (falls back serially when the record
     discipline cannot be chunk-aligned — still must agree)."""
 
     def test_values_and_pds(self, cases, name):
@@ -165,7 +167,7 @@ class TestPlanDrivenAgainstReference:
 
     The reference side runs serially (parallel workers recompile with
     default settings); the plan-driven side must match it both serially
-    and through ``records_parallel``.
+    and through ``execute`` with ``jobs``.
     """
 
     def _reference_pair(self, interp):
@@ -214,7 +216,7 @@ class TestPlanDrivenAgainstReference:
         base = report(ref_i)
         assert report(interp) == base
         assert report(gen) == base
-        acc, _hdr, _tally = interp.accumulate_parallel(data, rtype, jobs=JOBS)
+        acc = execute(interp, Run("accum", data, rtype, jobs=JOBS)).acc
         assert acc.full_report() == base
 
 
@@ -283,7 +285,7 @@ class TestBackendsAgree:
     resolves to the AST backend and the forced variants pin both code
     paths explicitly; every backend must match the interpreter on reps,
     pd summaries and deterministic observe stats, serially and through
-    ``records_parallel`` (whose workers rebuild with the same backend).
+    ``execute`` with ``jobs`` (whose workers rebuild with the same backend).
     """
 
     def test_backend_selection_is_plan_driven(self, cases, backend_cases,
@@ -357,9 +359,9 @@ class TestAccumulatorsAgree:
         for metered in (False, True):
             if metered:
                 with observe.observed():
-                    acc, _hdr, _tally = interp.accumulate_parallel(
-                        data, rtype, jobs=JOBS)
+                    acc = execute(interp, Run("accum", data, rtype,
+                                              jobs=JOBS)).acc
             else:
-                acc, _hdr, _tally = interp.accumulate_parallel(
-                    data, rtype, jobs=JOBS)
+                acc = execute(interp, Run("accum", data, rtype,
+                                          jobs=JOBS)).acc
             assert acc.full_report() == base

@@ -10,7 +10,8 @@ class TestFigure8:
     def test_clf_formatting_matches_paper(self, clf):
         """Delimiter "|" + date format "%D:%T" over Figure 2's data must
         yield exactly Figure 8's output."""
-        lines = list(format_records(clf, gallery.CLF_SAMPLE, "entry_t",
+        lines = list(format_records(clf, clf.records(gallery.CLF_SAMPLE,
+                                                     "entry_t"), "entry_t",
                                     delims=["|"], date_format="%D:%T"))
         assert "\n".join(lines) + "\n" == gallery.CLF_FORMATTED
 
@@ -72,12 +73,14 @@ class TestFormatValue:
 class TestFormatRecords:
     def test_skip_errors(self, clf):
         bad = gallery.CLF_SAMPLE.replace(" 200 30", " 200 -")
-        lines = list(format_records(clf, bad, "entry_t", skip_errors=True))
+        lines = list(format_records(clf, clf.records(bad, "entry_t"),
+                                    "entry_t", skip_errors=True))
         assert len(lines) == 1
 
     def test_arrays_flatten(self, sirius):
         body = gallery.SIRIUS_SAMPLE.split("\n", 1)[1]
-        lines = list(format_records(sirius, body, "entry_t"))
+        lines = list(format_records(sirius, sirius.records(body, "entry_t"),
+                                    "entry_t"))
         assert lines[1].endswith("LOC_CRTE|1001476800|LOC_OS_10|1001649601")
         # Formatted output with '|' equals the raw pipe-separated data here.
         assert lines[1].startswith("9153|9153|1|0|0|0|0|")

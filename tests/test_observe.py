@@ -11,7 +11,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import compile_description, gallery, observe
+from repro import Run, compile_description, execute, gallery, observe
 from repro.observe.metrics import (
     Counter,
     Gauge,
@@ -194,7 +194,8 @@ class TestTracer:
     def test_tracer_forces_serial_fallback(self, desc):
         data = "".join(f"{ln}\n" for ln in make_lines(30))
         with observe.observed(trace=True) as obs:
-            out = list(desc.records_parallel(data, "entry_t", jobs=4))
+            out = list(execute(desc, Run("records", data, "entry_t",
+                                         jobs=4)).records)
         # Worker-side events could never reach this tracer; a complete
         # event stream proves the serial path ran.
         recs = [e for e in obs.tracer.events if e.kind == "record"]

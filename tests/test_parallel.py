@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro import gallery, parallel
+from repro import Run, execute, gallery, parallel
 from repro.codegen import compile_generated
 from repro.core.io import (
     FixedWidthRecords,
@@ -158,14 +158,15 @@ class TestParallelEquivalence:
 
     def test_count(self, clf_desc, clf_data, clf_file):
         serial = clf_desc.count_records(clf_data)
-        assert parallel.parallel_count(clf_desc, clf_data, jobs=JOBS) == serial
-        assert parallel.parallel_count(clf_desc, clf_file, jobs=JOBS) == serial
-        assert clf_desc.count_records_parallel(clf_data, jobs=JOBS) == serial
+        for data in (clf_data, clf_file):
+            r = execute(clf_desc, Run("count", data, jobs=JOBS))
+            assert r.engine == "parallel"
+            assert r.count == serial
 
     def test_records_order_and_parity(self, clf_desc, clf_data):
         serial = list(clf_desc.records(clf_data, "entry_t"))
-        par = list(parallel.parallel_records(clf_desc, clf_data, "entry_t",
-                                             jobs=JOBS))
+        par = list(execute(clf_desc, Run("records", clf_data, "entry_t",
+                                         jobs=JOBS)).records)
         assert len(par) == len(serial)
         for (s_rep, s_pd), (p_rep, p_pd) in zip(serial, par):
             assert p_pd.nerr == s_pd.nerr
@@ -176,13 +177,15 @@ class TestParallelEquivalence:
     def test_records_from_file(self, clf_desc, clf_data, clf_file):
         serial = [pd.nerr for _, pd in clf_desc.records(clf_data, "entry_t")]
         par = [pd.nerr for _, pd in
-               clf_desc.records_parallel(clf_file, "entry_t", jobs=JOBS)]
+               execute(clf_desc, Run("records", clf_file, "entry_t",
+                                     jobs=JOBS)).records]
         assert par == serial
 
     def test_tally(self, clf_desc, clf_data, clf_file):
-        serial = parallel.tally_records(clf_desc, clf_data, "entry_t")
+        serial = execute(clf_desc, Run("accum", clf_data, "entry_t")).tally
         for data in (clf_data, clf_file):
-            par = parallel.parallel_tally(clf_desc, data, "entry_t", jobs=JOBS)
+            par = execute(clf_desc, Run("accum", data, "entry_t",
+                                        jobs=JOBS)).tally
             assert par.records == serial.records
             assert par.bad_records == serial.bad_records
             assert par.total_errors == serial.total_errors
@@ -193,8 +196,9 @@ class TestParallelEquivalence:
     def test_accumulate(self, clf_desc, clf_data, clf_file):
         serial_acc, _hdr, n = accumulate_records(clf_desc, clf_data, "entry_t")
         for data in (clf_data, clf_file):
-            acc, header, tally = parallel.parallel_accumulate(
-                clf_desc, data, "entry_t", jobs=JOBS)
+            r = execute(clf_desc, Run("accum", data, "entry_t", jobs=JOBS))
+            acc, header, tally = r.acc, r.header_acc, r.tally
+            assert r.engine == "parallel"
             assert header is None
             assert tally.records == n
             assert acc.full_report() == serial_acc.full_report()
@@ -204,8 +208,9 @@ class TestParallelEquivalence:
         data = sirius_workload(1500, random.Random(20050612))
         serial_acc, serial_hdr, n = accumulate_records(
             desc, data, "entry_t", header_type="summary_header_t")
-        acc, header, tally = parallel.parallel_accumulate(
-            desc, data, "entry_t", jobs=JOBS, header_type="summary_header_t")
+        r = execute(desc, Run("accum", data, "entry_t", jobs=JOBS,
+                              header_type="summary_header_t"))
+        acc, header, tally = r.acc, r.header_acc, r.tally
         assert header is not None
         assert header.full_report() == serial_hdr.full_report()
         assert tally.records == n
@@ -231,7 +236,7 @@ class TestSerialFallback:
 
     def test_jobs_one_is_serial(self, clf_desc, clf_data):
         assert parallel._plan_windows(clf_desc, clf_data, 1) is None
-        n = parallel.parallel_count(clf_desc, clf_data, jobs=1)
+        n = execute(clf_desc, Run("count", clf_data, jobs=1)).count
         assert n == clf_desc.count_records(clf_data)
 
     def test_unchunkable_discipline_is_serial(self):
@@ -243,20 +248,21 @@ class TestSerialFallback:
     def test_small_input_is_serial(self, clf_desc):
         data = clf_workload(5, random.Random(1))
         assert parallel._plan_windows(clf_desc, data, JOBS) is None
-        tally = parallel.parallel_tally(clf_desc, data, "entry_t", jobs=JOBS)
+        tally = execute(clf_desc, Run("accum", data, "entry_t",
+                                      jobs=JOBS)).tally
         assert tally.records == 5
 
     def test_open_source_is_serial(self, clf_desc, clf_data):
         src = clf_desc.open(clf_data)
         assert parallel._plan_windows(clf_desc, src, JOBS) is None
-        assert parallel.parallel_count(clf_desc, src, jobs=JOBS) == \
+        assert execute(clf_desc, Run("count", src, jobs=JOBS)).count == \
             clf_desc.count_records(clf_data)
 
     def test_specless_description_is_serial(self, clf_desc, clf_data,
                                             monkeypatch):
         monkeypatch.setattr(parallel, "_spec_for", lambda d: None)
-        pairs = list(parallel.parallel_records(clf_desc, clf_data, "entry_t",
-                                               jobs=JOBS))
+        pairs = list(execute(clf_desc, Run("records", clf_data, "entry_t",
+                                           jobs=JOBS)).records)
         assert len(pairs) == clf_desc.count_records(clf_data)
 
 

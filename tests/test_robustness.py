@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro import gallery, observe, parallel
+from repro import Run, execute, gallery, observe, parallel
 from repro.codegen import compile_generated
 from repro.core.api import compile_description
 from repro.core.errors import ErrCode, Pstate
@@ -69,7 +69,8 @@ def _four_ways(interp, gen, data, rtype):
     for engine_label, engine in (("interp", interp), ("gen", gen)):
         for path_label, parallel_ in (("serial", False), ("parallel", True)):
             if parallel_:
-                pairs = list(engine.records_parallel(data, rtype, jobs=JOBS))
+                pairs = list(execute(engine, Run("records", data, rtype,
+                                                 jobs=JOBS)).records)
             else:
                 pairs = list(engine.records(data, rtype))
             out.append((engine_label, path_label,
@@ -102,7 +103,8 @@ class TestEdgeInputsPinned:
         assert parallel._plan_windows(interp, data, JOBS) is not None
         serial = [(r, pd_summary(p)) for r, p in interp.records(data, "entry_t")]
         par = [(r, pd_summary(p))
-               for r, p in interp.records_parallel(data, "entry_t", jobs=JOBS)]
+               for r, p in execute(interp, Run("records", data, "entry_t",
+                                               jobs=JOBS)).records]
         assert par == serial
 
     def test_empty_input_identical_four_ways(self, engine_pairs):
@@ -239,7 +241,8 @@ class TestSelfHealingParallel:
         parallel._WORKER_FAULT = fault
         with observe.observed() as obs:
             out = [(r, pd_summary(p)) for r, p in
-                   interp.records_parallel(data, "entry_t", jobs=JOBS)]
+                   execute(interp, Run("records", data, "entry_t",
+                                       jobs=JOBS)).records]
         parallel._WORKER_FAULT = None
         return out, obs.stats(deterministic=True)["recovery"]
 
@@ -313,7 +316,8 @@ class TestSelfHealingParallel:
                 os._exit(13)
 
         parallel._WORKER_FAULT = crash_all
-        assert interp.count_records_parallel(data, jobs=JOBS) == expected
+        assert execute(interp, Run("count", data,
+                                   jobs=JOBS)).count == expected
 
 
 class TestFaultHarness:

@@ -140,8 +140,9 @@ Psource Parray src_t { entry_t[]; };
 
     def test_fmt_output_stays_latin1(self, interp, gen):
         from repro.tools.fmt import format_records
-        lines = list(format_records(interp, self.DATA, "entry_t",
-                                    delims=["|"]))
+        lines = list(format_records(interp,
+                                    interp.records(self.DATA, "entry_t"),
+                                    "entry_t", delims=["|"]))
         assert lines[0].split("|")[0] == "caf\xe9"
         # The generated module's fmt2io twin must emit the same bytes.
         import io as _io

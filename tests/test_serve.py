@@ -196,6 +196,63 @@ class TestService:
             assert (status, body) == (200, b"2\n")
 
 
+def _raw_exchange(port, request: bytes):
+    """Send raw bytes, read until the server closes: ``(status, doc)``,
+    or ``(None, raw)`` when the reply is not an HTTP response."""
+    import socket
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                break
+            chunks.append(data)
+    reply = b"".join(chunks)
+    head, sep, body = reply.partition(b"\r\n\r\n")
+    if not sep or not head.startswith(b"HTTP/1.1 "):
+        return None, reply
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestFraming:
+    """Malformed HTTP framing gets a structured refusal, is counted
+    under ``serve.requests{<refused>}``, and leaves the server serving.
+    Each case used to kill the connection handler with a traceback
+    (an empty close, nothing counted)."""
+
+    def _refused(self, request: bytes, status: int):
+        with ServerThread(max_body=1 << 20) as st:
+            got, doc = _raw_exchange(st.port, request)
+            assert got == status, doc
+            assert doc["error"] in ("BAD_REQUEST", "REQUEST_TOO_LARGE")
+            assert st.metrics.value("serve.requests", "<refused>",
+                                    str(status)) == 1
+            assert get(st.port, "/healthz", raw=False) == \
+                (200, {"status": "ok"})
+
+    @staticmethod
+    def _post(length: str) -> bytes:
+        return (f"POST /v1/parse HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {length}\r\n\r\n{{}}").encode("latin-1")
+
+    def test_non_numeric_content_length(self):
+        self._refused(self._post("abc"), 400)
+
+    def test_negative_content_length(self):
+        self._refused(self._post("-5"), 400)
+
+    def test_content_length_past_the_int_digit_limit(self):
+        # A well-formed length, just absurdly large: 413, not an int()
+        # conversion error.
+        self._refused(self._post("9" * 4301), 413)
+
+    def test_header_line_over_64k(self):
+        request = (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * (70 << 10)
+                   + b"\r\n\r\n")
+        self._refused(request, 400)
+
+
 # -- bugfix 1: cache keying -------------------------------------------------------
 
 

@@ -1,7 +1,8 @@
 """Differential sweep for the bounded-memory streaming subsystem.
 
-``records_stream`` must be observationally identical to the slurped
-``records`` path — same reps, same parse-descriptor summaries — across
+A streamed ``execute(desc, Run("records", stream, ...))`` must be
+observationally identical to the slurped ``records`` path — same reps,
+same parse-descriptor summaries — across
 the gallery, both engines, serial and parallel, every window size
 (including windows smaller than one record, which force a record to
 span refill boundaries), and a truncated final record.  On top of the
@@ -24,15 +25,10 @@ try:
 except ImportError:  # pragma: no cover - baked-in image has hypothesis
     HAVE_HYPOTHESIS = False
 
-from repro import gallery, observe
+from repro import Run, execute, gallery, observe
 from repro.core.errors import PadsError
 from repro.core.io import NewlineRecords, StreamSource
-from repro.parallel import (
-    parallel_accumulate_stream,
-    parallel_count_stream,
-    parallel_records_stream,
-)
-from repro.stream import open_stream, records_stream
+from repro.stream import open_stream
 from repro.tools.accum import Accumulator
 from repro.tools.datagen import clf_workload
 
@@ -52,9 +48,8 @@ def slurped(engine, data, rtype):
 
 
 def streamed(engine, data, rtype, **opts):
-    return [(r, pd_summary(p))
-            for r, p in engine.records_stream(io.BytesIO(data), rtype,
-                                              **opts)]
+    run = Run("records", io.BytesIO(data), rtype, **opts)
+    return [(r, pd_summary(p)) for r, p in execute(engine, run).records]
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -83,7 +78,8 @@ class TestStreamMatchesSlurp:
             list(interp.records(data, rtype))
         base = obs.stats(deterministic=True)
         with observe.observed() as obs:
-            list(interp.records_stream(io.BytesIO(data), rtype, window=256))
+            list(execute(interp, Run("records", io.BytesIO(data), rtype,
+                                     window=256)).records)
         doc = obs.stats(deterministic=True)
         assert doc["records"] == base["records"]
         assert doc["errors"] == base["errors"]
@@ -126,8 +122,8 @@ class TestBoundedMemory:
         assert len(data) >= 10 * window
         interp = gallery.load_clf()
         with observe.observed() as obs:
-            out = list(interp.records_stream(io.BytesIO(data), "entry_t",
-                                             window=window))
+            out = list(execute(interp, Run("records", io.BytesIO(data),
+                                           "entry_t", window=window)).records)
         stream = obs.stats(deterministic=True)["stream"]
         assert stream["high_water"] <= 2 * window, stream
         assert stream["refills"] >= len(data) // window
@@ -160,20 +156,23 @@ class TestParallelStream:
         interp, gen, data, rtype = cases["clf"]
         base = slurped(interp, data, rtype)
         for engine in (interp, gen):
-            got = [(r, pd_summary(p)) for r, p in parallel_records_stream(
-                engine, io.BytesIO(data), rtype, jobs=3, chunk_bytes=2048)]
+            r = execute(engine, Run("records", io.BytesIO(data), rtype,
+                                    jobs=3, window=2048))
+            assert r.engine == "parallel"
+            got = [(rep, pd_summary(p)) for rep, p in r.records]
             assert got == base
 
     def test_count_and_accumulate_match(self, cases):
         interp, _gen, data, rtype = cases["clf"]
         expected = interp.count_records(data)
-        assert parallel_count_stream(interp, io.BytesIO(data), jobs=3,
-                                     chunk_bytes=2048) == expected
+        assert execute(interp, Run("count", io.BytesIO(data), jobs=3,
+                                   window=2048)).count == expected
         acc = Accumulator(interp.node(rtype), "<top>", 1000)
         for rep, pd in interp.records(data, rtype):
             acc.add(rep, pd)
-        par_acc, tally = parallel_accumulate_stream(
-            interp, io.BytesIO(data), rtype, jobs=3, chunk_bytes=2048)
+        r = execute(interp, Run("accum", io.BytesIO(data), rtype, jobs=3,
+                                window=2048))
+        par_acc, tally = r.acc, r.tally
         assert tally.records == expected
         assert par_acc.full_report() == acc.full_report()
 
@@ -183,8 +182,8 @@ class TestParallelStream:
         from repro.core.io import LengthPrefixedRecords
         sirius_like.discipline = LengthPrefixedRecords(4)
         with pytest.raises(PadsError, match="cannot split"):
-            list(parallel_records_stream(sirius_like, io.BytesIO(b""),
-                                         "entry_t", jobs=3))
+            list(execute(sirius_like, Run("records", io.BytesIO(b""),
+                                          "entry_t", jobs=3)).records)
 
 
 class TestLiveSources:
@@ -204,7 +203,8 @@ class TestLiveSources:
         t.start()
         try:
             got = [(r, pd_summary(p)) for r, p in
-                   records_stream(interp, r_fd, "entry_t", window=4096)]
+                   execute(interp, Run("records", r_fd, "entry_t",
+                                       window=4096)).records]
         finally:
             t.join()
         assert got == base
@@ -227,9 +227,8 @@ class TestLiveSources:
         try:
             with observe.observed() as obs:
                 got = [(r, pd_summary(p)) for r, p in
-                       records_stream(interp, str(path), "entry_t",
-                                      follow=True, idle_timeout=1.0,
-                                      poll_interval=0.02)]
+                       execute(interp, Run("records", path, "entry_t",
+                                           follow=1.0)).records]
         finally:
             t.join()
         assert got == slurped(interp, data, "entry_t")

@@ -71,7 +71,8 @@ class TestXmlOutput:
         assert "a&lt;b&gt;&amp;c" in xml
 
     def test_xml_records_stream(self, clf):
-        chunks = list(xml_records(clf, gallery.CLF_SAMPLE, "entry_t"))
+        chunks = list(xml_records(clf, clf.records(gallery.CLF_SAMPLE,
+                                                   "entry_t"), "entry_t"))
         doc = "\n".join(chunks)
         root = parse_xml(doc)
         assert len(root.findall("entry_t")) == 2
