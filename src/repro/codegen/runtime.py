@@ -7,6 +7,7 @@ generated ``.c`` files link against the PADS runtime library.
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional
 
 from .. import observe
@@ -63,6 +64,11 @@ def array_resync(src: Source, sep: Optional[bytes], term: Optional[bytes]) -> bo
         src.skip_to_eor()
         return True
     return False
+
+
+#: The fast path's ``Phostname`` letter check.  Its regex admits only
+#: ``[A-Za-z0-9.-]``, where this search is ``any(c.isalpha() ...)``.
+has_letter = re.compile("[A-Za-z]").search
 
 
 def convert_packed(raw: bytes, digits: int, decimals: int):

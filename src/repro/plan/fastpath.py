@@ -595,14 +595,19 @@ class FastPath:
             body = (b"(?>\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3})"
                     + _HOST_GUARD)
             w.w(f"{var} = {ref}.decode('ascii')")
-            with w.block(f"if any(int(_o) > 255 for _o in {var}.split('.')):"):
+            with w.block(f"if max(map(int, {var}.split('.'))) > 255:"):
                 w.w("return None")
+            # The base type renders the octets' values, so an octet with
+            # leading zeros (``007``) must read the same on a hit.
+            with w.block(f"if {var}[0] == '0' or '.0' in {var}:"):
+                w.w(f"{var} = '.'.join([str(int(_o)) for _o in "
+                    f"{var}.split('.')])")
             return grp(body)
 
         if isinstance(inst, _net.Hostname):
             body = b"(?>[A-Za-z0-9.\\-]+)" + _HOST_GUARD
             w.w(f"{var} = {ref}.decode('ascii')")
-            with w.block(f"if not any(_c.isalpha() for _c in {var}) or "
+            with w.block(f"if _fp_letter({var}) is None or "
                          f"{var}.startswith('.') or {var}.endswith('.'):"):
                 w.w("return None")
             return grp(body)

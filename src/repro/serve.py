@@ -94,7 +94,12 @@ LIMIT_STATUS: Dict[str, int] = {
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
             422: "Unprocessable Entity", 429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error", 503: "Service Unavailable"}
+
+#: Header lines accepted in one request; past it the request is refused
+#: (431) instead of read on without bound.
+MAX_HEADERS = 100
 
 #: Default cap on records echoed back by ``mode: records``.
 DEFAULT_MAX_RECORDS = 10_000
@@ -307,10 +312,13 @@ class ParseServer:
         except ValueError:
             raise HttpError(400, "BAD_REQUEST", "malformed request line")
         headers: Dict[str, str] = {}
-        while True:
+        for count in range(MAX_HEADERS + 1):
             raw = await self._read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
+            if count == MAX_HEADERS:
+                raise HttpError(431, "HEADERS_TOO_LARGE",
+                                f"more than {MAX_HEADERS} header lines")
             name, _sep, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         if headers.get("transfer-encoding"):

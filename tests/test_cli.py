@@ -239,7 +239,9 @@ class TestObservabilityFlags:
         import random
         from repro.tools.datagen import clf_workload
         path = tmp_path / "big.log"
-        path.write_bytes(clf_workload(800, random.Random(7)))
+        # Past two MIN_CHUNK_BYTES chunks (~220 KB): a smaller file
+        # keeps ``-j 4`` on the serial cursor.
+        path.write_bytes(clf_workload(2500, random.Random(7)))
         return str(path)
 
     @staticmethod
@@ -287,8 +289,10 @@ class TestObservabilityFlags:
         # document is the JSON object that follows.
         s_doc = self._deterministic(json.loads(serial.err[serial.err.index("{"):]))
         p_doc = self._deterministic(json.loads(parallel.err[parallel.err.index("{"):]))
+        assert (s_doc.pop("engine"), p_doc.pop("engine")) == ("cursor",
+                                                              "parallel")
         assert s_doc == p_doc
-        assert s_doc["records"]["total"] == 800
+        assert s_doc["records"]["total"] == 2500
 
     def test_trace_to_file(self, clf_file, clf_data, tmp_path, capsys):
         import json

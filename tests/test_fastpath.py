@@ -244,6 +244,46 @@ class TestBinaryFastPath:
         assert ri == rg
 
 
+class TestNetworkChecks:
+    """``Pip`` and ``Phostname`` read a field the same on a fast-path hit
+    (``n`` fits ``Puint8``), on a miss (it does not) and with no fast path
+    at all, in the interpreter and both generated backends."""
+
+    PIP = "Precord Pstruct r { Pip ip; '|'; Puint8 n; };"
+    HOST = "Precord Pstruct r { Phostname h; '|'; Puint8 n; };"
+
+    @staticmethod
+    def _agree(desc, data):
+        ref_rep, ref_pd = compile_description(desc, fastpath=False).parse(
+            data, "r")
+        for engine in (compile_description(desc), compile_generated(desc),
+                       compile_generated(desc, backend="ast")):
+            rep, pd = engine.parse(data, "r")
+            assert pd_summary(pd) == pd_summary(ref_pd), data
+            assert rep == ref_rep, data
+        return ref_rep, ref_pd
+
+    @pytest.mark.parametrize("n", [b"7", b"700"])
+    @pytest.mark.parametrize("ip", [b"007.1.1.1", b"10.0.01.1", b"0.0.0.0",
+                                    b"256.1.1.1", b"1.2.3.4",
+                                    b"255.255.255.255", b"1.2.3.999"])
+    def test_pip(self, ip, n):
+        rep, pd = self._agree(self.PIP, ip + b"|" + n + b"\n")
+        if ip == b"007.1.1.1":
+            assert rep.ip == "7.1.1.1"
+        if ip in (b"256.1.1.1", b"1.2.3.999"):
+            assert pd.nerr >= 1 and rep.ip == "0.0.0.0"
+
+    @pytest.mark.parametrize("n", [b"7", b"700"])
+    @pytest.mark.parametrize("host", [b"123.456", b"12", b"007.1.1.1",
+                                      b"a1.b2", b"1a", b"x", b".ab", b"ab.",
+                                      b"9-9.0"])
+    def test_phostname(self, host, n):
+        rep, pd = self._agree(self.HOST, host + b"|" + n + b"\n")
+        if host.replace(b".", b"").replace(b"-", b"").isdigit():
+            assert pd.nerr >= 1 and rep.h == ""
+
+
 # ---------------------------------------------------------------------------
 # Property: fast-path-enabled modules == interpreter over adversarial bytes
 # ---------------------------------------------------------------------------

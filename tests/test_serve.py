@@ -37,7 +37,7 @@ from repro.core.io import FixedWidthRecords, transparent_encode
 from repro.core.limits import ParseLimits
 from repro.gallery import CLF, CLF_SAMPLE, SIRIUS, SIRIUS_SAMPLE
 from repro.observe import MetricsRegistry, to_prometheus
-from repro.serve import LIMIT_STATUS, ServeConfig, ServerThread
+from repro.serve import LIMIT_STATUS, MAX_HEADERS, ServeConfig, ServerThread
 from repro.tools.accum import Accumulator
 
 PIPE = """\
@@ -221,11 +221,12 @@ class TestFraming:
     Each case used to kill the connection handler with a traceback
     (an empty close, nothing counted)."""
 
-    def _refused(self, request: bytes, status: int):
+    def _refused(self, request: bytes, status: int,
+                 codes=("BAD_REQUEST", "REQUEST_TOO_LARGE")):
         with ServerThread(max_body=1 << 20) as st:
             got, doc = _raw_exchange(st.port, request)
             assert got == status, doc
-            assert doc["error"] in ("BAD_REQUEST", "REQUEST_TOO_LARGE")
+            assert doc["error"] in codes
             assert st.metrics.value("serve.requests", "<refused>",
                                     str(status)) == 1
             assert get(st.port, "/healthz", raw=False) == \
@@ -251,6 +252,21 @@ class TestFraming:
         request = (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * (70 << 10)
                    + b"\r\n\r\n")
         self._refused(request, 400)
+
+    @staticmethod
+    def _with_headers(n: int) -> bytes:
+        lines = "".join(f"X-H{i}: {i}\r\n" for i in range(n - 2))
+        return (f"GET /healthz HTTP/1.1\r\nHost: x\r\n{lines}"
+                "Connection: close\r\n\r\n").encode("latin-1")
+
+    def test_header_count_over_the_cap(self):
+        self._refused(self._with_headers(MAX_HEADERS + 1), 431,
+                      codes=("HEADERS_TOO_LARGE",))
+
+    def test_header_count_at_the_cap_is_served(self):
+        with ServerThread() as st:
+            got, doc = _raw_exchange(st.port, self._with_headers(MAX_HEADERS))
+            assert (got, doc) == (200, {"status": "ok"})
 
 
 # -- bugfix 1: cache keying -------------------------------------------------------
